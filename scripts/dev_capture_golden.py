@@ -1,9 +1,17 @@
-"""One-off capture of golden measurement fixtures (run against pre-change code).
+"""One-off capture of golden fixtures (run against pre-change code).
 
 Dumps exact (repr-precision) per-host measurement outputs for a matrix of
 policies / protocols / attack kinds, plus full fig4 outputs at small scale,
 so the vectorised measurement path can be regression-tested bit for bit
 against the per-host loop it replaced.
+
+A second fixture pins the headline experiments — Figure 3 (plain and
+co-optimised) and Table 3 (plain and fused) — so restructuring how they
+train, assign and measure can be checked bit for bit as well.
+
+Usage::
+
+    PYTHONPATH=src python scripts/dev_capture_golden.py
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ from repro.attacks.mimicry import hidden_traffic_by_host
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.fusion import FusionRule
 from repro.core.thresholds import PercentileHeuristic
+from repro.experiments.fig3_utility import run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
+from repro.experiments.table3_alarms import run_table3, run_table3_fused
 from repro.core.policies import (
     FullDiversityPolicy,
     HomogeneousPolicy,
@@ -25,7 +35,9 @@ from repro.features.definitions import Feature
 from repro.sweeps.spec import AttackSpec
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_measurement.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+OUT = DATA / "golden_measurement.json"
+EXPERIMENTS_OUT = DATA / "golden_experiments.json"
 
 CONFIG = EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)
 
@@ -78,6 +90,54 @@ def perf_payload(perf) -> dict:
         "fn": repr(float(perf.operating_point.false_negative_rate)),
         "false_alarm_count": int(perf.false_alarm_count),
         "alarm_raised": perf.alarm_raised,
+    }
+
+
+def _floats(values) -> list:
+    return [repr(float(value)) for value in values]
+
+
+def _summary_payload(summary) -> dict:
+    return {
+        name: repr(float(getattr(summary, name)))
+        for name in ("count", "mean", "std", "minimum", "q1", "median", "q3", "maximum")
+    }
+
+
+def _table_payload(table) -> dict:
+    return {
+        row: {column: repr(float(value)) for column, value in cells.items()}
+        for row, cells in table.items()
+    }
+
+
+def experiments_payload(population) -> dict:
+    """repr-precision outputs of fig3 / table3 and their fused variants."""
+    fig3 = run_fig3(population)
+    table3 = run_table3(population)
+    coopt = run_fig3_cooptimized(population)
+    fused = run_table3_fused(population)
+    return {
+        "fig3": {
+            "mean_utilities": {
+                name: repr(float(value)) for name, value in fig3.mean_utilities().items()
+            },
+            "gain_by_weight": _floats(fig3.gain_by_weight()),
+            "weight_sweep": {name: _floats(values) for name, values in fig3.weight_sweep.items()},
+            "boxplots": {
+                name: _summary_payload(summary) for name, summary in fig3.boxplots.items()
+            },
+        },
+        "table3": _table_payload(table3.alarms),
+        "fig3_cooptimized": {
+            "mean_utilities": _table_payload(coopt.mean_utilities),
+            "detection_rates": _table_payload(coopt.detection_rates),
+            "objective_values": _table_payload(coopt.objective_values),
+        },
+        "table3_fused": {
+            "alarms": _table_payload(fused.alarms),
+            "objective_values": _table_payload(fused.objective_values),
+        },
     }
 
 
@@ -139,6 +199,13 @@ def main() -> None:
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(golden, sort_keys=True, separators=(",", ":")))
     print(f"wrote {OUT} ({OUT.stat().st_size} bytes, {len(golden['cases'])} cases)")
+
+    experiments = {
+        "config": {"num_hosts": 24, "num_weeks": 2, "seed": 77},
+        **experiments_payload(population),
+    }
+    EXPERIMENTS_OUT.write_text(json.dumps(experiments, sort_keys=True, indent=1) + "\n")
+    print(f"wrote {EXPERIMENTS_OUT} ({EXPERIMENTS_OUT.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

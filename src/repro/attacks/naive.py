@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackTrace, FeatureInjection, VictimBatch
+from repro.attacks.base import Attack, AttackTrace, FeatureInjection, VictimBatch, with_batch
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.utils.validation import require, require_non_negative, require_probability
@@ -59,6 +59,21 @@ class NaiveAttacker(Attack):
             name=self.name,
             injections={self.feature: injection},
             bin_spec=victim.series(self.feature).bin_spec,
+        )
+
+    def host_builder(self) -> Callable[[int, FeatureMatrix], AttackTrace]:
+        """Per-host attack builder seeded by host id, with its vectorised batch form.
+
+        This is the attack the Figure 3 and Figure 4 sweeps overlay on every
+        host's test week; measurement takes the batch form whenever the
+        victims share a bin grid.
+        """
+
+        def build(host_id: int, matrix: FeatureMatrix) -> AttackTrace:
+            return self.build(matrix, np.random.default_rng(host_id))
+
+        return with_batch(
+            build, lambda batch: {self.feature: self.batch_amounts(batch, np.random.default_rng)}
         )
 
     def batch_amounts(

@@ -360,11 +360,12 @@ def detection_training_distributions(
     week: int,
     active_bins_only: bool = True,
 ) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
-    """:func:`training_distributions` for every feature of a protocol."""
-    return {
-        feature: training_distributions(matrices, feature, week, active_bins_only)
-        for feature in features
-    }
+    """:func:`training_distributions` for every feature of a protocol (the train stage)."""
+    with trace_span("core.train"):
+        return {
+            feature: training_distributions(matrices, feature, week, active_bins_only)
+            for feature in features
+        }
 
 
 def detection_training_window_distributions(
@@ -386,12 +387,64 @@ def detection_training_window_distributions(
     distributions: Dict[Feature, Dict[int, EmpiricalDistribution]] = {
         feature: {} for feature in features
     }
-    for host_id, matrix in matrices.items():
-        for feature in distributions:
-            distributions[feature][host_id] = _training_distribution(
-                matrix.series(feature).week_range(start_week, end_week), active_bins_only
-            )
+    with trace_span("core.train"):
+        for host_id, matrix in matrices.items():
+            for feature in distributions:
+                distributions[feature][host_id] = _training_distribution(
+                    matrix.series(feature).week_range(start_week, end_week), active_bins_only
+                )
     return distributions
+
+
+def train_protocol(
+    matrices: Mapping[int, FeatureMatrix], protocol: DetectionProtocol
+) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
+    """Train stage of ``protocol``: its features' distributions over its training week.
+
+    Training does not depend on the policy or the attack, so an experiment
+    comparing several policies calls this once and hands the result to
+    every :func:`assign_policy`.
+    """
+    return detection_training_distributions(
+        matrices,
+        protocol.features,
+        protocol.train_week,
+        active_bins_only=protocol.train_on_active_bins,
+    )
+
+
+def assign_policy(
+    policy: ConfigurationPolicy,
+    training: Mapping[Feature, Mapping[int, EmpiricalDistribution]],
+    protocol: DetectionProtocol,
+) -> DetectionAssignment:
+    """Assign stage: ``policy``'s per-host thresholds from ``training`` under ``protocol``.
+
+    The assignment does not depend on the attack, so it is measured against
+    any number of attacks with :func:`measure_policy`.
+    """
+    return policy.assign(
+        training,
+        grouping_statistic_percentile=protocol.grouping_statistic_percentile,
+        fusion=protocol.fusion,
+    )
+
+
+def measure_policy(
+    matrices: Mapping[int, FeatureMatrix],
+    assignment: DetectionAssignment,
+    protocol: DetectionProtocol,
+    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+) -> PolicyEvaluation:
+    """Measure stage: :func:`measure_assignment` packaged as a :class:`PolicyEvaluation`."""
+    return PolicyEvaluation(
+        policy_name=assignment.policy_name,
+        protocol=protocol,
+        assignment=assignment,
+        performances=measure_assignment(
+            matrices, assignment, protocol, attack_builder=attack_builder
+        ),
+    )
 
 
 def _adapt_attack_builder(
@@ -461,6 +514,11 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Run the full train/test evaluation of ``policy`` over a feature set.
 
+    This is :func:`train_protocol`, :func:`assign_policy` and
+    :func:`measure_policy` in sequence.  Callers comparing several policies
+    or attacks on one protocol call those stages directly instead, so the
+    training and each assignment are computed once.
+
     Parameters
     ----------
     matrices:
@@ -480,39 +538,17 @@ def evaluate_policy(
         false-negative rate is reported as 0.
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
-    features = protocol.features
 
     with trace_span("core.evaluate", policy=policy.name, num_hosts=len(matrices)):
-        with trace_span("core.train"):
-            training = detection_training_distributions(
-                matrices,
-                features,
-                protocol.train_week,
-                active_bins_only=protocol.train_on_active_bins,
-            )
-        with trace_span("core.assign"):
-            assignment = policy.assign(
-                training,
-                grouping_statistic_percentile=protocol.grouping_statistic_percentile,
-                fusion=protocol.fusion,
-            )
-
-        performances = measure_assignment(
-            matrices, assignment, protocol, attack_builder=attack_builder
-        )
+        assignment = assign_policy(policy, train_protocol(matrices, protocol), protocol)
+        evaluation = measure_policy(matrices, assignment, protocol, attack_builder)
         logger.debug(
             "evaluated policy %s over %d host(s), %d feature(s)",
             policy.name,
             len(matrices),
-            len(features),
+            protocol.num_features,
         )
-
-    return PolicyEvaluation(
-        policy_name=policy.name,
-        protocol=protocol,
-        assignment=assignment,
-        performances=performances,
-    )
+    return evaluation
 
 
 def measure_assignment(

@@ -342,30 +342,31 @@ class ConfigurationPolicy:
         host_sets = {frozenset(dists) for dists in training_distributions.values()}
         require(len(host_sets) == 1, "every feature's training data must cover the same hosts")
         add_count("optimize.assignments")
-        if self._optimizer is not None and self._optimizer.joint:
-            return self._assign_jointly(
-                training_distributions,
-                grouping_statistic_percentile,
-                self._optimizer.objective(fusion),
-                warm_start=warm_start,
+        with trace_span("core.assign"):
+            if self._optimizer is not None and self._optimizer.joint:
+                return self._assign_jointly(
+                    training_distributions,
+                    grouping_statistic_percentile,
+                    self._optimizer.objective(fusion),
+                    warm_start=warm_start,
+                )
+            per_feature = {
+                feature: self.compute_thresholds(
+                    distributions, grouping_statistic_percentile=grouping_statistic_percentile
+                )
+                for feature, distributions in training_distributions.items()
+            }
+            if self._optimizer is None:
+                return DetectionAssignment(per_feature=per_feature, policy_name=self._name)
+            # Independent selection: the heuristic path above IS the answer;
+            # score its fused objective so the report stays comparable with
+            # the joint optimizers.
+            report = self._score_assignment(
+                per_feature, training_distributions, self._optimizer.objective(fusion)
             )
-        per_feature = {
-            feature: self.compute_thresholds(
-                distributions, grouping_statistic_percentile=grouping_statistic_percentile
+            return DetectionAssignment(
+                per_feature=per_feature, policy_name=self._name, optimization=report
             )
-            for feature, distributions in training_distributions.items()
-        }
-        if self._optimizer is None:
-            return DetectionAssignment(per_feature=per_feature, policy_name=self._name)
-        # Independent selection: the heuristic path above IS the answer;
-        # score its fused objective so the report stays comparable with the
-        # joint optimizers.
-        report = self._score_assignment(
-            per_feature, training_distributions, self._optimizer.objective(fusion)
-        )
-        return DetectionAssignment(
-            per_feature=per_feature, policy_name=self._name, optimization=report
-        )
 
     def _assign_jointly(
         self,

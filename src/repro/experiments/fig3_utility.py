@@ -25,7 +25,13 @@ import numpy as np
 from repro.attacks.base import AttackTrace
 from repro.attacks.mimicry import MimicryAttacker
 from repro.attacks.naive import NaiveAttacker
-from repro.core.evaluation import DetectionProtocol, PolicyEvaluation, evaluate_policy
+from repro.core.evaluation import (
+    DetectionProtocol,
+    PolicyEvaluation,
+    assign_policy,
+    measure_policy,
+    train_protocol,
+)
 from repro.core.fusion import FusionRule
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -88,7 +94,7 @@ class UtilityComparisonResult:
         return panel_a + "\n\n" + panel_b
 
 
-def _default_attack_sizes(population: EnterprisePopulation, feature: Feature) -> Tuple[float, ...]:
+def default_attack_sizes(population: EnterprisePopulation, feature: Feature) -> Tuple[float, ...]:
     """Attack sizes spanning the range that can hide inside user traffic.
 
     The paper sweeps attack sizes up to the largest value seen in user
@@ -118,7 +124,7 @@ def run_fig3(
     sweep of injected attack sizes overlaid on its test week.
     """
     require(len(weights) > 0, "at least one weight is required")
-    sizes = tuple(attack_sizes) if attack_sizes is not None else _default_attack_sizes(population, feature)
+    sizes = tuple(attack_sizes) if attack_sizes is not None else default_attack_sizes(population, feature)
     heuristic = UtilityHeuristic(weight=utility_weight, attack_sizes=sizes)
     policies: List[ConfigurationPolicy] = [
         HomogeneousPolicy(heuristic),
@@ -133,40 +139,32 @@ def run_fig3(
         utility_weight=utility_weight,
     )
 
-    # The evaluated attack: the middle of the size sweep, injected always-on
-    # (each host's FN is averaged over sizes via repeated evaluation).
-    def attack_builder_for(size: float):
-        def build(host_id: int, matrix: FeatureMatrix) -> AttackTrace:
-            return NaiveAttacker(feature=feature, attack_size=size).build(
-                matrix, np.random.default_rng(host_id)
-            )
+    # Training and the assignments do not depend on the attack: train once,
+    # assign once per policy, and only measure inside the size sweep.
+    training = train_protocol(matrices, protocol)
+    assignments = {policy.name: assign_policy(policy, training, protocol) for policy in policies}
 
-        return build
-
+    # Each host's FN is averaged over the sweep of always-on naive attacks;
+    # FP does not depend on the attack, so it is taken from the first size.
     evaluations: Dict[str, PolicyEvaluation] = {}
-    per_policy_rates: Dict[str, Dict[int, Tuple[float, float]]] = {}
-    for policy in policies:
-        # Average the FN rate over the attack-size sweep; FP does not depend
-        # on the attack, so it is taken from the first evaluation.
-        fn_accumulator: Dict[int, List[float]] = {}
-        first_evaluation: Optional[PolicyEvaluation] = None
-        for size in sizes:
-            evaluation = evaluate_policy(
-                matrices, policy, protocol, attack_builder=attack_builder_for(size)
-            )
-            if first_evaluation is None:
-                first_evaluation = evaluation
+    fn_rates: Dict[str, Dict[int, List[float]]] = {name: {} for name in assignments}
+    for size in sizes:
+        attack_builder = NaiveAttacker(feature=feature, attack_size=size).host_builder()
+        for name, assignment in assignments.items():
+            evaluation = measure_policy(matrices, assignment, protocol, attack_builder)
+            evaluations.setdefault(name, evaluation)
             for host_id, perf in evaluation.performances.items():
-                fn_accumulator.setdefault(host_id, []).append(perf.false_negative_rate)
-        assert first_evaluation is not None
-        evaluations[policy.name] = first_evaluation
-        per_policy_rates[policy.name] = {
+                fn_rates[name].setdefault(host_id, []).append(perf.false_negative_rate)
+    per_policy_rates: Dict[str, Dict[int, Tuple[float, float]]] = {
+        name: {
             host_id: (
-                first_evaluation.performances[host_id].false_positive_rate,
+                evaluations[name].performances[host_id].false_positive_rate,
                 float(np.mean(fn_list)),
             )
-            for host_id, fn_list in fn_accumulator.items()
+            for host_id, fn_list in fn_rates[name].items()
         }
+        for name in assignments
+    }
 
     def utilities_at(policy_name: str, weight: float) -> List[float]:
         return [
@@ -279,7 +277,7 @@ def run_fig3_cooptimized(
     sizes = (
         tuple(attack_sizes)
         if attack_sizes is not None
-        else _default_attack_sizes(population, features[0])
+        else default_attack_sizes(population, features[0])
     )
     heuristic = UtilityHeuristic(weight=utility_weight, attack_sizes=sizes)
     if optimizers is None:
@@ -307,6 +305,7 @@ def run_fig3_cooptimized(
         )
         return attacker.build(matrix, np.random.default_rng((attack_seed, host_id)))
 
+    training = train_protocol(matrices, protocol)
     mean_utilities: Dict[str, Dict[str, float]] = {}
     detection_rates: Dict[str, Dict[str, float]] = {}
     objective_values: Dict[str, Dict[str, float]] = {}
@@ -320,7 +319,8 @@ def run_fig3_cooptimized(
         detections: Dict[str, float] = {}
         objectives: Dict[str, float] = {}
         for policy in policies:
-            evaluation = evaluate_policy(matrices, policy, protocol, attack_builder=build_mimicry)
+            assignment = assign_policy(policy, training, protocol)
+            evaluation = measure_policy(matrices, assignment, protocol, build_mimicry)
             utilities[policy.name] = evaluation.mean_utility()
             detections[policy.name] = float(
                 np.mean(list(evaluation.detection_rates().values()))

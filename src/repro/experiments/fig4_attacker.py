@@ -19,15 +19,13 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace, with_batch
 from repro.attacks.mimicry import hidden_traffic_by_host
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep
 from repro.core.evaluation import (
     DetectionProtocol,
-    PolicyEvaluation,
-    detection_training_distributions,
-    measure_assignment,
-    training_distributions,
+    assign_policy,
+    measure_policy,
+    train_protocol,
 )
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -38,7 +36,6 @@ from repro.core.policies import (
 from repro.core.thresholds import PercentileHeuristic
 from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.utils.validation import require
 from repro.workload.enterprise import EnterprisePopulation
@@ -119,62 +116,30 @@ def run_fig4(
     max_size = max(population.max_observed(feature), 10.0)
     sizes = tuple(float(s) for s in attack_size_sweep(max_size, num_attack_sizes))
 
-    # Training and threshold assignment are attack-independent, so they are
-    # computed once per policy and reused across the whole size sweep — the
-    # per-size evaluation is measurement only (identical numbers to running
-    # the full evaluate_policy per size, which re-derived the same
-    # assignment every time).
-    training = detection_training_distributions(
-        matrices,
-        protocol.features,
-        protocol.train_week,
-        active_bins_only=protocol.train_on_active_bins,
-    )
-    assignments = {
-        policy.name: policy.assign(
-            training,
-            grouping_statistic_percentile=protocol.grouping_statistic_percentile,
-            fusion=protocol.fusion,
-        )
-        for policy in policies
-    }
+    # Training and threshold assignment are attack-independent, so both
+    # panels share one training and one assignment per policy; the size
+    # sweep is measurement only.
+    training = train_protocol(matrices, protocol)
+    assignments = {policy.name: assign_policy(policy, training, protocol) for policy in policies}
 
-    detection_curves: Dict[str, List[float]] = {policy.name: [] for policy in policies}
+    detection_curves: Dict[str, List[float]] = {name: [] for name in assignments}
     for size in sizes:
-        attacker = NaiveAttacker(feature=feature, attack_size=size)
-
-        def attack_builder(host_id: int, matrix: FeatureMatrix) -> AttackTrace:
-            return attacker.build(matrix, np.random.default_rng(host_id))
-
-        with_batch(
-            attack_builder,
-            lambda batch: {feature: attacker.batch_amounts(batch, np.random.default_rng)},
-        )
-
-        for policy in policies:
-            performances = measure_assignment(
-                matrices, assignments[policy.name], protocol, attack_builder=attack_builder
-            )
-            evaluation = PolicyEvaluation(
-                policy_name=policy.name,
-                protocol=protocol,
-                assignment=assignments[policy.name],
-                performances=performances,
-            )
-            detection_curves[policy.name].append(evaluation.fraction_raising_alarm())
+        attack_builder = NaiveAttacker(feature=feature, attack_size=size).host_builder()
+        for name, assignment in assignments.items():
+            evaluation = measure_policy(matrices, assignment, protocol, attack_builder)
+            detection_curves[name].append(evaluation.fraction_raising_alarm())
 
     # Panel (b): resourceful (mimicry) attacker hidden traffic.
-    train_dists = training_distributions(matrices, feature, train_week)
     test_matrices = {host_id: matrix.week(test_week) for host_id, matrix in matrices.items()}
-    hidden: Dict[str, Mapping[int, float]] = {}
-    for policy in policies:
-        assignment = policy.compute_thresholds(train_dists)
-        hidden[policy.name] = hidden_traffic_by_host(
+    hidden: Dict[str, Mapping[int, float]] = {
+        name: hidden_traffic_by_host(
             test_matrices,
-            assignment.thresholds,
+            assignment.for_feature(feature).thresholds,
             feature,
             evasion_probability=evasion_probability,
         )
+        for name, assignment in assignments.items()
+    }
 
     return AttackerResult(
         feature=feature,

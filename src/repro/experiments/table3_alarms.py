@@ -16,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.evaluation import DetectionProtocol, evaluate_policy
+from repro.core.evaluation import (
+    DetectionProtocol,
+    assign_policy,
+    measure_policy,
+    train_protocol,
+)
 from repro.core.fusion import FusionRule
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -27,6 +30,7 @@ from repro.core.policies import (
     PartialDiversityPolicy,
 )
 from repro.core.thresholds import PercentileHeuristic, ThresholdHeuristic, UtilityHeuristic
+from repro.experiments.fig3_utility import default_attack_sizes
 from repro.experiments.report import render_table
 from repro.features.definitions import Feature
 from repro.optimize import (
@@ -81,7 +85,11 @@ def run_table3(
     attack_sizes: Optional[Sequence[float]] = None,
     partial_groups: int = 8,
 ) -> AlarmVolumeResult:
-    """Compute Table 3 on ``population``."""
+    """Compute Table 3 on ``population``.
+
+    The training week is the same for every cell, so it is trained once and
+    each (heuristic, policy) only assigns and measures.
+    """
     matrices = population.matrices()
     protocol = DetectionProtocol(
         features=(feature,),
@@ -90,11 +98,7 @@ def run_table3(
         utility_weight=utility_weight,
     )
     if attack_sizes is None:
-        # Linear sweep over the range that can hide inside user traffic
-        # (bounded by the heaviest user's tail), as in the paper.
-        tails = list(population.per_host_percentiles(feature, 99).values())
-        maximum = max(max(tails), 10.0)
-        attack_sizes = tuple(float(round(x)) for x in np.linspace(maximum / 20.0, maximum, 10))
+        attack_sizes = default_attack_sizes(population, feature)
 
     heuristics: Dict[str, ThresholdHeuristic] = {
         "99th-percentile": PercentileHeuristic(99.0),
@@ -103,6 +107,7 @@ def run_table3(
         ),
     }
 
+    training = train_protocol(matrices, protocol)
     alarms: Dict[str, Dict[str, float]] = {}
     for heuristic_name, heuristic in heuristics.items():
         policies: Sequence[ConfigurationPolicy] = (
@@ -112,7 +117,8 @@ def run_table3(
         )
         per_policy: Dict[str, float] = {}
         for policy in policies:
-            evaluation = evaluate_policy(matrices, policy, protocol)
+            assignment = assign_policy(policy, training, protocol)
+            evaluation = measure_policy(matrices, assignment, protocol)
             per_policy[policy.name] = float(evaluation.total_false_alarms())
         alarms[heuristic_name] = per_policy
 
@@ -204,6 +210,7 @@ def run_table3_fused(
         }
     heuristic = UtilityHeuristic(weight=utility_weight, attack_sizes=tuple(attack_sizes))
 
+    training = train_protocol(matrices, protocol)
     alarms: Dict[str, Dict[str, float]] = {}
     objectives: Dict[str, Dict[str, float]] = {}
     for optimizer_name, optimizer in optimizers.items():
@@ -215,7 +222,8 @@ def run_table3_fused(
         per_policy: Dict[str, float] = {}
         per_policy_objective: Dict[str, float] = {}
         for policy in policies:
-            evaluation = evaluate_policy(matrices, policy, protocol)
+            assignment = assign_policy(policy, training, protocol)
+            evaluation = measure_policy(matrices, assignment, protocol)
             per_policy[policy.name] = float(evaluation.total_false_alarms())
             per_policy_objective[policy.name] = float(evaluation.optimization.objective_value)
         alarms[optimizer_name] = per_policy

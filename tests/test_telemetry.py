@@ -335,6 +335,10 @@ class TestPipelineIntegration:
         names = [span.name for span in recorder.spans]
         assert "temporal.timeline" in names
         assert "temporal.week" in names
+        # The stage functions carry their own spans, so the timeline's
+        # training and threshold selection are not filed under its parents.
+        assert "core.train" in names
+        assert "core.assign" in names
 
     def test_timing_kwarg_is_removed(self, tmp_path):
         engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
