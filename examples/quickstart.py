@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro import Feature, PolicyComparison, PopulationEngine, quick_population
 from repro.attacks.naive import NaiveAttacker
 from repro.core.experiment import ExperimentContext
@@ -44,12 +42,8 @@ def main() -> None:
 
     feature = Feature.TCP_CONNECTIONS
 
-    def attack_builder(host_id, matrix):
-        return NaiveAttacker(feature=feature, attack_size=args.attack_size).build(
-            matrix, np.random.default_rng(host_id)
-        )
-
-    results = comparison.run(feature, attack_builder=attack_builder)
+    attack = NaiveAttacker(feature=feature, attack_size=args.attack_size).host_builder()
+    results = comparison.run(feature, attack_builder=attack)
 
     rows = []
     for name, evaluation in results.items():

@@ -5,6 +5,14 @@ policies / protocols / attack kinds, plus full fig4 outputs at small scale,
 so the vectorised measurement path can be regression-tested bit for bit
 against the per-host loop it replaced.
 
+The ``per_host_cases`` section pins the measure-only entry points on a
+12-host, 4-week population: every protocol x attack case under full
+diversity, explicit test weeks 1-3, and a mimicry attacker evading a stale
+assignment.  It was captured with ``measure_assignment`` routed through the
+per-host reference loop, at the last revision that still had that loop;
+re-running this script now measures through the batched path, which must
+reproduce it bit for bit.
+
 A second fixture pins the headline experiments — Figure 3 (plain and
 co-optimised) and Table 3 (plain and fused) — so restructuring how they
 train, assign and measure can be checked bit for bit as well.
@@ -20,7 +28,12 @@ import json
 from pathlib import Path
 
 from repro.attacks.mimicry import hidden_traffic_by_host
-from repro.core.evaluation import DetectionProtocol, evaluate_policy
+from repro.core.evaluation import (
+    DetectionProtocol,
+    detection_training_distributions,
+    evaluate_policy,
+    measure_assignment,
+)
 from repro.core.fusion import FusionRule
 from repro.core.thresholds import PercentileHeuristic
 from repro.experiments.fig3_utility import run_fig3, run_fig3_cooptimized
@@ -141,6 +154,55 @@ def experiments_payload(population) -> dict:
     }
 
 
+def _measured(matrices, assignment, protocol, builder=None, **kwargs) -> dict:
+    performances = measure_assignment(
+        matrices, assignment, protocol, attack_builder=builder, **kwargs
+    )
+    return {str(host_id): perf_payload(perf) for host_id, perf in sorted(performances.items())}
+
+
+def per_host_payload() -> dict:
+    """Measure-only cases: explicit test weeks and stale attack assignments."""
+    population = generate_enterprise(EnterpriseConfig(num_hosts=12, num_weeks=4, seed=909))
+    matrices = population.matrices()
+    bin_width = population.config.bin_width
+    heuristic = PercentileHeuristic(99.0)
+    cases: dict = {}
+    for proto_name, protocol in PROTOCOLS.items():
+        training = detection_training_distributions(
+            matrices, protocol.features, protocol.train_week
+        )
+        assignment = FullDiversityPolicy(heuristic).assign(training, fusion=protocol.fusion)
+        for attack_name, attack in ATTACKS.items():
+            builder = attack.build_builder(protocol.primary_feature, bin_width)
+            cases[f"{proto_name}/{attack_name}"] = _measured(
+                matrices, assignment, protocol, builder
+            )
+
+    protocol = PROTOCOLS["single"]
+    training = detection_training_distributions(matrices, protocol.features, protocol.train_week)
+    assignment = HomogeneousPolicy(heuristic).assign(training, fusion=protocol.fusion)
+    builder = ATTACKS["naive"].build_builder(protocol.primary_feature, bin_width)
+    for week in (1, 2, 3):
+        cases[f"test-week-{week}"] = _measured(
+            matrices, assignment, protocol, builder, test_week=week
+        )
+
+    stale = HomogeneousPolicy(heuristic).assign(
+        detection_training_distributions(matrices, protocol.features, 0),
+        fusion=protocol.fusion,
+    )
+    fresh = FullDiversityPolicy(heuristic).assign(
+        detection_training_distributions(matrices, protocol.features, 2),
+        fusion=protocol.fusion,
+    )
+    builder = ATTACKS["mimicry"].build_builder(protocol.primary_feature, bin_width)
+    cases["stale-mimicry"] = _measured(
+        matrices, fresh, protocol, builder, test_week=3, attack_assignment=stale
+    )
+    return {"config": {"num_hosts": 12, "num_weeks": 4, "seed": 909}, "cases": cases}
+
+
 def main() -> None:
     population = generate_enterprise(CONFIG)
     matrices = population.matrices()
@@ -196,9 +258,14 @@ def main() -> None:
         },
     }
 
+    golden["per_host_cases"] = per_host_payload()
+
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(golden, sort_keys=True, separators=(",", ":")))
-    print(f"wrote {OUT} ({OUT.stat().st_size} bytes, {len(golden['cases'])} cases)")
+    print(
+        f"wrote {OUT} ({OUT.stat().st_size} bytes, {len(golden['cases'])} cases, "
+        f"{len(golden['per_host_cases']['cases'])} per-host cases)"
+    )
 
     experiments = {
         "config": {"num_hosts": 24, "num_weeks": 2, "seed": 77},

@@ -3,10 +3,10 @@
 The package is organised as:
 
 * :mod:`repro.core` — configuration policies (homogeneous / full-diversity /
-  partial-diversity), threshold heuristics, detectors, HIDS agents, the
-  central IT console and the evaluation harness (the paper's contribution).
-* :mod:`repro.stats` — empirical distributions, streaming quantiles,
-  histograms, heavy-tailed samplers, k-means.
+  partial-diversity), threshold heuristics, multi-feature fusion and the
+  evaluation harness (the paper's contribution).
+* :mod:`repro.stats` — empirical distributions, summary statistics,
+  tail-index estimation, k-means.
 * :mod:`repro.traces` — packet/flow model, TCP connection assembly, protocol
   classification, capture sessions, serialization.
 * :mod:`repro.features` — the six Table-1 features and their extraction into

@@ -4,6 +4,10 @@ An attack is represented as additional per-bin feature counts — an
 :class:`AttackTrace` — aligned with a victim host's benign feature series.
 Overlaying the attack on the benign series is a simple element-wise addition
 (the paper's additivity assumption), done by :mod:`repro.attacks.injection`.
+
+Policy evaluation takes attacks in one form, a :data:`BatchAttackFn`: it is
+handed every victim at once as a :class:`VictimBatch` and returns the
+injected amounts as ``(num_hosts, num_bins)`` arrays per feature.
 """
 
 from __future__ import annotations
@@ -93,14 +97,13 @@ class AttackTrace:
 
 
 class VictimBatch:
-    """A batch of victim hosts sharing one bin grid, for vectorised attacks.
+    """The victims of one measured test week, all on one bin grid.
 
-    The measurement path hands one of these to a batch-capable attack
-    builder (see :func:`with_batch`) instead of calling the per-host builder
-    once per victim.  Feature value stacks are provided lazily so a builder
-    that only needs ``num_bins`` (naive, storm) never pays for stacking, while
-    the mimicry attacker can profile every victim of its target feature in a
-    single ``(num_hosts, num_bins)`` array.
+    Measurement hands one of these to the attack (a :data:`BatchAttackFn`).
+    Feature value stacks are provided lazily, so an attack that only needs
+    ``num_bins`` (naive, storm) never pays for stacking, while the mimicry
+    attacker profiles every victim of its target feature in a single
+    ``(num_hosts, num_bins)`` array.
 
     Attributes
     ----------
@@ -110,10 +113,10 @@ class VictimBatch:
     bin_spec:
         The common binning of the victims' series.
     num_bins:
-        Bins per victim series.
+        Bins per victim series (the test week).
     thresholds:
-        Per-feature ``(num_hosts,)`` threshold vectors handed to the attacker
-        (what the per-host builder receives as its ``thresholds`` mapping).
+        Per-feature ``(num_hosts,)`` vectors of the thresholds the attacker
+        knows to be in force: row ``i`` belongs to ``host_ids[i]``.
     """
 
     def __init__(
@@ -143,23 +146,11 @@ class VictimBatch:
         return self._values_cache[feature]
 
 
-#: Signature of a batch attack builder: per-feature ``(num_hosts, num_bins)``
-#: injected amounts (an all-zero row means that host is not attacked, which
-#: measures identically to a per-host builder returning ``None``), or ``None``
-#: to fall back to the per-host builder.
-BatchAttackFn = Callable[[VictimBatch], Optional[Mapping[Feature, np.ndarray]]]
-
-
-def with_batch(per_host_builder: Callable, batch_fn: BatchAttackFn) -> Callable:
-    """Attach a vectorised batch form to a per-host attack builder.
-
-    The per-host builder remains the source of truth (and the fallback for
-    irregular populations); the measurement path prefers ``batch_fn`` when
-    every victim shares a bin grid.  Both forms must produce bit-identical
-    injected amounts.
-    """
-    per_host_builder.batch = batch_fn
-    return per_host_builder
+#: The attack interface of policy evaluation: given the victims, the
+#: per-feature ``(num_hosts, num_bins)`` amounts injected into their test
+#: week.  An all-zero row means that host is not attacked in that feature;
+#: features the evaluation does not monitor are ignored.
+BatchAttackFn = Callable[[VictimBatch], Mapping[Feature, np.ndarray]]
 
 
 class Attack:

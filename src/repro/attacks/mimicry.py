@@ -19,9 +19,9 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackTrace, FeatureInjection
+from repro.attacks.base import Attack, AttackTrace, BatchAttackFn, FeatureInjection
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
+from repro.features.timeseries import FeatureMatrix, require_shared_bin_grid
 from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.validation import require, require_probability
 
@@ -126,6 +126,25 @@ def batch_hidden_traffic(
     return np.maximum(0.0, np.asarray(thresholds, dtype=float) - quantiles)
 
 
+def mimicry_batch_attack(feature: Feature, evasion_probability: float = 0.9) -> BatchAttackFn:
+    """The mimicry attacker in the form policy evaluation takes.
+
+    Each victim gets, in every bin of its test week, the largest injection
+    into ``feature`` that stays under the threshold in force on that host
+    (``VictimBatch.thresholds``) with ``evasion_probability``, the attacker
+    having profiled the victim's test-week series (perfect knowledge).
+    """
+    require_probability(evasion_probability, "evasion_probability")
+
+    def attack(batch):
+        hidden = batch_hidden_traffic(
+            batch.values(feature), batch.thresholds[feature], evasion_probability
+        )
+        return {feature: np.repeat(hidden[:, None], batch.num_bins, axis=1)}
+
+    return attack
+
+
 def hidden_traffic_by_host(
     matrices: Mapping[int, FeatureMatrix],
     thresholds: Mapping[int, float],
@@ -136,26 +155,19 @@ def hidden_traffic_by_host(
 
     This is the quantity summarised by the Figure 4(b) boxplots: for each
     host, the largest per-bin injection a mimicry attacker can sustain while
-    evading detection with ``evasion_probability``.  Populations whose hosts
-    share a bin grid are scored as one stacked percentile computation
-    (bit-identical to the per-host loop, which remains the fallback for
-    irregular matrices).
+    evading detection with ``evasion_probability``.  The population is
+    scored as one stacked percentile computation (:func:`batch_hidden_traffic`),
+    so every host must share one bin grid; a mixed grid raises
+    :class:`~repro.utils.validation.ValidationError` naming the first host
+    that differs.
     """
+    if not matrices:
+        return {}
+    require_shared_bin_grid(matrices)
     host_ids = list(matrices)
-    lengths = {matrices[host_id].num_bins for host_id in host_ids}
-    if len(lengths) == 1:
-        stacked = np.stack(
-            [np.asarray(matrices[host_id].series(feature).values) for host_id in host_ids]
-        )
-        threshold_vector = np.array([float(thresholds[host_id]) for host_id in host_ids])
-        hidden = batch_hidden_traffic(stacked, threshold_vector, evasion_probability)
-        return {host_id: float(value) for host_id, value in zip(host_ids, hidden)}
-    results: Dict[int, float] = {}
-    for host_id, matrix in matrices.items():
-        attacker = MimicryAttacker(
-            feature=feature,
-            threshold=float(thresholds[host_id]),
-            evasion_probability=evasion_probability,
-        )
-        results[host_id] = attacker.plan(matrix).hidden_traffic
-    return results
+    stacked = np.stack(
+        [np.asarray(matrices[host_id].series(feature).values) for host_id in host_ids]
+    )
+    threshold_vector = np.array([float(thresholds[host_id]) for host_id in host_ids])
+    hidden = batch_hidden_traffic(stacked, threshold_vector, evasion_probability)
+    return {host_id: float(value) for host_id, value in zip(host_ids, hidden)}

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackTrace, FeatureInjection, VictimBatch, with_batch
+from repro.attacks.base import Attack, AttackTrace, BatchAttackFn, FeatureInjection, VictimBatch
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.utils.validation import require, require_non_negative, require_probability
@@ -61,20 +61,13 @@ class NaiveAttacker(Attack):
             bin_spec=victim.series(self.feature).bin_spec,
         )
 
-    def host_builder(self) -> Callable[[int, FeatureMatrix], AttackTrace]:
-        """Per-host attack builder seeded by host id, with its vectorised batch form.
+    def host_builder(self) -> BatchAttackFn:
+        """The attack as evaluation takes it, each host's draws seeded by its id.
 
         This is the attack the Figure 3 and Figure 4 sweeps overlay on every
-        host's test week; measurement takes the batch form whenever the
-        victims share a bin grid.
+        host's test week.
         """
-
-        def build(host_id: int, matrix: FeatureMatrix) -> AttackTrace:
-            return self.build(matrix, np.random.default_rng(host_id))
-
-        return with_batch(
-            build, lambda batch: {self.feature: self.batch_amounts(batch, np.random.default_rng)}
-        )
+        return lambda batch: {self.feature: self.batch_amounts(batch, np.random.default_rng)}
 
     def batch_amounts(
         self, batch: VictimBatch, rng_for: Callable[[int], np.random.Generator]
@@ -84,7 +77,7 @@ class NaiveAttacker(Attack):
         Bit-identical to calling :meth:`build` per host with
         ``rng_for(host_id)``: an always-on attack needs no randomness at all,
         while intermittent campaigns draw each host's activity mask from its
-        own generator, in host order, exactly as the per-host path does.
+        own generator, in host order, exactly as :meth:`build` does.
         """
         base = float(self.attack_size)
         if self.active_fraction >= 1.0:

@@ -17,7 +17,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace, FeatureInjection
+from repro.attacks.base import AttackTrace, BatchAttackFn, FeatureInjection
+from repro.attacks.injection import pad_attack_amounts
 from repro.attacks.primitives import PortScanModel, SpamCampaignModel
 from repro.features.definitions import Feature
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -105,3 +106,29 @@ def generate_storm_trace(
         for feature, values in counts.items()
     }
     return AttackTrace(name="storm-zombie", injections=injections, bin_spec=bin_spec)
+
+
+def storm_batch_attack(trace: AttackTrace) -> BatchAttackFn:
+    """Replay ``trace`` over every victim's test week (Figure 5's methodology).
+
+    Each feature's amounts are padded or truncated to the test week, as
+    :func:`~repro.attacks.injection.inject_attack` overlays a trace.  A
+    trace binned at a different width than the victims raises
+    :class:`~repro.utils.validation.ValidationError`.
+    """
+
+    def attack(batch):
+        require(
+            abs(trace.bin_spec.width - batch.bin_spec.width) < 1e-9,
+            f"attack trace bins are {trace.bin_spec.width:g}s but the victims' are "
+            f"{batch.bin_spec.width:g}s; attack and benign series must use the same bin width",
+        )
+        return {
+            feature: np.tile(
+                pad_attack_amounts(trace.amounts(feature), batch.num_bins),
+                (batch.num_hosts, 1),
+            )
+            for feature in trace.features
+        }
+
+    return attack

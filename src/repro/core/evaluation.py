@@ -14,33 +14,32 @@ The evaluation API is built around feature *sets*: a
 indicators, and :func:`evaluate_policy` measures both the per-feature
 operating points and the fused per-host (FP, FN)/utility.
 
-Measurement is vectorised: populations whose hosts share one bin grid (every
-generated population does) are scored as whole ``(num_hosts, num_bins)``
-array operations per feature — threshold exceedance, attack overlay and
-fusion votes — instead of a per-host Python loop.  The per-host loop is kept
-as the fallback for irregular matrices and as the golden reference the
-batched path is regression-tested against; the two produce bit-identical
-:class:`HostPerformance` values.
+Measurement has one path: the population is scored as whole
+``(num_hosts, num_bins)`` array operations per feature — threshold
+exceedance, attack overlay and fusion votes — so every host must share one
+bin grid (every generated population does; a mixed grid raises
+:class:`~repro.utils.validation.ValidationError`).  Attacks have one form, a
+:data:`~repro.attacks.base.BatchAttackFn`: it receives the victims as a
+:class:`~repro.attacks.base.VictimBatch` and returns per-feature
+``(num_hosts, num_bins)`` injected amounts.  ``tests/data/golden_measurement.json``
+pins the outputs bit for bit against the per-host loop this path replaced.
 """
 
 from __future__ import annotations
 
-import inspect
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace, VictimBatch
-from repro.attacks.injection import InjectedSeries, inject_attack, pad_attack_amounts
-from repro.core.detector import ThresholdDetector
+from repro.attacks.base import BatchAttackFn, VictimBatch
 from repro.core.fusion import FusionRule
 from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint
 from repro.core.policies import ConfigurationPolicy, DetectionAssignment
 from repro.core.thresholds import DEFAULT_PERCENTILE
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.features.timeseries import FeatureMatrix, TimeSeries, require_shared_bin_grid
 from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.telemetry import add_count, trace_span
@@ -48,17 +47,6 @@ from repro.utils.timeutils import WEEK
 from repro.utils.validation import require, require_probability
 
 logger = logging.getLogger(__name__)
-
-#: Signature of a per-host attack builder used during evaluation (legacy,
-#: two-argument form; still accepted everywhere).
-AttackBuilder = Callable[[int, FeatureMatrix], Optional[AttackTrace]]
-
-#: Signature of a threshold-aware per-host attack builder: receives the host
-#: id, its test-week matrix and the per-feature thresholds in force (which is
-#: how the mimicry attacker learns the threshold it must stay under).
-DetectionAttackBuilder = Callable[
-    [int, FeatureMatrix, Mapping[Feature, float]], Optional[AttackTrace]
-]
 
 
 @dataclass(frozen=True)
@@ -434,7 +422,7 @@ def measure_policy(
     matrices: Mapping[int, FeatureMatrix],
     assignment: DetectionAssignment,
     protocol: DetectionProtocol,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[BatchAttackFn] = None,
 ) -> PolicyEvaluation:
     """Measure stage: :func:`measure_assignment` packaged as a :class:`PolicyEvaluation`."""
     return PolicyEvaluation(
@@ -447,70 +435,11 @@ def measure_policy(
     )
 
 
-def _adapt_attack_builder(
-    builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]],
-) -> Optional[DetectionAttackBuilder]:
-    """Normalise legacy two-argument attack builders onto the threshold-aware form."""
-    if builder is None:
-        return None
-    try:
-        parameters = list(inspect.signature(builder).parameters.values())
-    except (TypeError, ValueError):  # builtins / C callables: assume the new form
-        return builder
-    positional = [
-        p
-        for p in parameters
-        if p.kind in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    if len(positional) >= 3 or any(
-        p.kind == inspect.Parameter.VAR_POSITIONAL for p in parameters
-    ):
-        return builder
-    if any(
-        p.kind == inspect.Parameter.KEYWORD_ONLY and p.name == "thresholds"
-        for p in parameters
-    ):
-        # New-form builder declared as (host_id, matrix, *, thresholds).
-        def adapted_keyword(
-            host_id: int, matrix: FeatureMatrix, thresholds: Mapping[Feature, float]
-        ) -> Optional[AttackTrace]:
-            return builder(host_id, matrix, thresholds=thresholds)
-
-        return _copy_batch_form(builder, adapted_keyword)
-
-    def adapted(
-        host_id: int, matrix: FeatureMatrix, thresholds: Mapping[Feature, float]
-    ) -> Optional[AttackTrace]:
-        return builder(host_id, matrix)
-
-    return _copy_batch_form(builder, adapted)
-
-
-def _copy_batch_form(builder, adapted):
-    """Carry a builder's vectorised batch form across the signature adapter."""
-    batch_fn = getattr(builder, "batch", None)
-    if batch_fn is not None:
-        adapted.batch = batch_fn
-    return adapted
-
-
-def _feature_injections(
-    attack: AttackTrace,
-    benign: Mapping[Feature, TimeSeries],
-) -> Dict[Feature, InjectedSeries]:
-    """Per-feature injected series for every evaluated feature the attack touches."""
-    injections: Dict[Feature, InjectedSeries] = {}
-    for feature, series in benign.items():
-        if feature in attack.features:
-            injections[feature] = inject_attack(series, attack, feature)
-    return injections
-
-
 def evaluate_policy(
     matrices: Mapping[int, FeatureMatrix],
     policy: ConfigurationPolicy,
     protocol: DetectionProtocol,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[BatchAttackFn] = None,
 ) -> PolicyEvaluation:
     """Run the full train/test evaluation of ``policy`` over a feature set.
 
@@ -531,10 +460,11 @@ def evaluate_policy(
         Train/test weeks, the feature set, the fusion rule and the utility
         weight.
     attack_builder:
-        Optional callable producing the attack trace to overlay on each
-        host's *test* week.  Both the legacy ``(host_id, matrix)`` form and
-        the threshold-aware ``(host_id, matrix, thresholds)`` form are
-        accepted.  When None, only false positives are measured and the
+        Optional :data:`~repro.attacks.base.BatchAttackFn` returning the
+        attack amounts to overlay on every host's *test* week; its
+        :class:`~repro.attacks.base.VictimBatch` carries the thresholds in
+        force (which is how the mimicry attacker learns what to stay
+        under).  When None, only false positives are measured and the
         false-negative rate is reported as 0.
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
@@ -555,7 +485,7 @@ def measure_assignment(
     matrices: Mapping[int, FeatureMatrix],
     assignment,
     protocol: DetectionProtocol,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[BatchAttackFn] = None,
     test_week: Optional[int] = None,
     attack_assignment=None,
 ) -> Dict[int, HostPerformance]:
@@ -571,39 +501,33 @@ def measure_assignment(
     per week.
 
     ``attack_assignment`` optionally names a *different* assignment whose
-    thresholds are handed to the attack builder: a mimicry attacker that
-    profiled the deployment once keeps evading those stale thresholds even
-    after the defender retrains (the schedule-tracking attacker passes the
-    in-force assignment instead).  ``None`` hands the builder the measuring
-    assignment's thresholds, exactly as the one-shot evaluation does.
+    thresholds are handed to the attack (as ``VictimBatch.thresholds``): a
+    mimicry attacker that profiled the deployment once keeps evading those
+    stale thresholds even after the defender retrains (the
+    schedule-tracking attacker passes the in-force assignment instead).
+    ``None`` hands the attack the measuring assignment's thresholds,
+    exactly as the one-shot evaluation does.
+
+    Every host must share one bin grid; a mixed grid raises
+    :class:`~repro.utils.validation.ValidationError` naming the first host
+    that differs.
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
-    features = protocol.features
-    fusion = protocol.fusion
-    builder = _adapt_attack_builder(attack_builder)
+    require_shared_bin_grid(matrices)
     week = protocol.test_week if test_week is None else int(test_week)
     require(week >= 0, "test_week must be non-negative")
 
     with trace_span("core.measure", num_hosts=len(matrices), test_week=week):
         add_count("core.host_weeks_measured", len(matrices))
-        if _uniform_bin_grid(matrices):
-            return _measure_assignment_batched(
-                matrices, assignment, features, fusion, builder, week, attack_assignment
-            )
-        return _measure_assignment_per_host(
-            matrices, assignment, features, fusion, builder, week, attack_assignment
+        return _measure_week(
+            matrices,
+            assignment,
+            protocol.features,
+            protocol.fusion,
+            attack_builder,
+            week,
+            attack_assignment,
         )
-
-
-def _uniform_bin_grid(matrices: Mapping[int, FeatureMatrix]) -> bool:
-    """True when every host shares one bin grid (stackable into arrays)."""
-    iterator = iter(matrices.values())
-    first = next(iterator)
-    num_bins = first.num_bins
-    bin_width = first.bin_width
-    return all(
-        matrix.num_bins == num_bins and matrix.bin_width == bin_width for matrix in iterator
-    )
 
 
 def _week_slice_bounds(series: TimeSeries, week: int) -> Tuple[int, int]:
@@ -620,106 +544,78 @@ def _threshold_vector(assignment, feature: Feature, host_ids: Sequence[int]) -> 
     return np.array([per_feature.threshold_of(host_id) for host_id in host_ids], dtype=float)
 
 
-def _batched_attack_amounts(
-    builder: DetectionAttackBuilder,
+def _attack_amounts(
+    attack: BatchAttackFn,
     host_ids: Sequence[int],
     matrices: Mapping[int, FeatureMatrix],
     features: Tuple[Feature, ...],
-    week: int,
     bin_spec,
     first: int,
     last: int,
     values: Dict[Feature, np.ndarray],
     attack_thresholds: Mapping[Feature, np.ndarray],
 ) -> Dict[Feature, np.ndarray]:
-    """Per-feature ``(num_hosts, num_bins)`` injected amounts for the batch.
+    """Per-feature ``(num_hosts, num_bins)`` amounts ``attack`` injects.
 
-    Prefers the builder's vectorised batch form (see
-    :func:`repro.attacks.base.with_batch`); otherwise replays the per-host
-    protocol exactly — builder called once per host with its test-week matrix
-    and threshold mapping, amounts padded to the test window with the same
-    prefix-overlap and bin-width rules as :func:`inject_attack`.
+    Features the protocol does not monitor are dropped; an all-zero row
+    means that host is not attacked in that feature.
     """
     num_bins = last - first
-    num_hosts = len(host_ids)
-    evaluated = set(features)
 
-    batch_fn = getattr(builder, "batch", None)
-    if batch_fn is not None:
-
-        def provider(feature: Feature) -> np.ndarray:
-            if feature in values:
-                return values[feature]
-            return np.stack(
-                [
-                    np.asarray(matrices[host_id].series(feature).values)[first:last]
-                    for host_id in host_ids
-                ]
-            )
-
-        batch = VictimBatch(
-            host_ids=host_ids,
-            bin_spec=bin_spec,
-            num_bins=num_bins,
-            thresholds=attack_thresholds,
-            values_provider=provider,
+    def provider(feature: Feature) -> np.ndarray:
+        if feature in values:
+            return values[feature]
+        return np.stack(
+            [
+                np.asarray(matrices[host_id].series(feature).values)[first:last]
+                for host_id in host_ids
+            ]
         )
-        result = batch_fn(batch)
-        if result is not None:
-            amounts: Dict[Feature, np.ndarray] = {}
-            for feature, rows in result.items():
-                if feature not in evaluated:
-                    continue
-                rows = np.asarray(rows, dtype=float)
-                require(
-                    rows.shape == (num_hosts, num_bins),
-                    "batch attack amounts must be (num_hosts, num_bins)",
-                )
-                amounts[feature] = rows
-            return amounts
 
-    stacks: Dict[Feature, np.ndarray] = {}
-    for index, host_id in enumerate(host_ids):
-        test_matrix = matrices[host_id].week(week)
-        thresholds_here = {
-            feature: float(attack_thresholds[feature][index]) for feature in features
-        }
-        attack = builder(host_id, test_matrix, thresholds_here)
-        if attack is None:
+    batch = VictimBatch(
+        host_ids=host_ids,
+        bin_spec=bin_spec,
+        num_bins=num_bins,
+        thresholds=attack_thresholds,
+        values_provider=provider,
+    )
+    result = attack(batch)
+    require(
+        isinstance(result, Mapping),
+        "an attack must return a mapping of feature -> (num_hosts, num_bins) amounts",
+    )
+    amounts: Dict[Feature, np.ndarray] = {}
+    for feature, rows in result.items():
+        if feature not in features:
             continue
-        for feature in features:
-            if feature not in attack.features:
-                continue
-            require(
-                abs(bin_spec.width - attack.bin_spec.width) < 1e-9,
-                "attack and benign series must use the same bin width",
-            )
-            if feature not in stacks:
-                stacks[feature] = np.zeros((num_hosts, num_bins))
-            stacks[feature][index] = pad_attack_amounts(attack.amounts(feature), num_bins)
-    return stacks
+        rows = np.asarray(rows, dtype=float)
+        require(
+            rows.shape == (len(host_ids), num_bins),
+            "batch attack amounts must be (num_hosts, num_bins)",
+        )
+        amounts[feature] = rows
+    return amounts
 
 
-def _measure_assignment_batched(
+def _measure_week(
     matrices: Mapping[int, FeatureMatrix],
     assignment,
     features: Tuple[Feature, ...],
     fusion: FusionRule,
-    builder: Optional[DetectionAttackBuilder],
+    attack: Optional[BatchAttackFn],
     week: int,
     attack_assignment,
 ) -> Dict[int, HostPerformance]:
-    """Vectorised measurement over one shared bin grid.
+    """Score one test week over the shared bin grid.
 
     Every per-host quantity is computed as an array operation over
-    ``(num_hosts, num_bins)`` stacks; each row reproduces the per-host loop's
-    floats bit for bit (element-wise comparisons and additions are the same
-    scalar operations, just batched).
+    ``(num_hosts, num_bins)`` stacks; row ``i`` holds host ``i``'s counts,
+    so the per-host floats are the same scalar operations, just batched.
     """
     host_ids = list(matrices)
     reference = matrices[host_ids[0]].series(features[0])
-    # Trigger the legacy out-of-range week validation once; the grid is
-    # uniform, so one host's validation covers them all.
+    # Trigger the out-of-range week validation once; the grid is shared,
+    # so one host's validation covers them all.
     reference.week(week)
     first, last = _week_slice_bounds(reference, week)
     num_bins = last - first
@@ -742,7 +638,7 @@ def _measure_assignment_batched(
     }
 
     amounts: Dict[Feature, np.ndarray] = {}
-    if builder is not None:
+    if attack is not None:
         if attack_assignment is None:
             attack_thresholds = thresholds
         else:
@@ -750,12 +646,11 @@ def _measure_assignment_batched(
                 feature: _threshold_vector(attack_assignment, feature, host_ids)
                 for feature in features
             }
-        amounts = _batched_attack_amounts(
-            builder,
+        amounts = _attack_amounts(
+            attack,
             host_ids,
             matrices,
             features,
-            week,
             bin_spec,
             first,
             last,
@@ -855,146 +750,3 @@ def _measure_assignment_batched(
             feature_alarm_raised=feature_alarm,
         )
     return performances
-
-
-def _measure_assignment_per_host(
-    matrices: Mapping[int, FeatureMatrix],
-    assignment,
-    features: Tuple[Feature, ...],
-    fusion: FusionRule,
-    builder: Optional[DetectionAttackBuilder],
-    week: int,
-    attack_assignment,
-) -> Dict[int, HostPerformance]:
-    """The per-host reference measurement loop.
-
-    Fallback for populations whose hosts do not share a bin grid, and the
-    golden reference the batched path is regression-tested against.
-    """
-    performances: Dict[int, HostPerformance] = {}
-    for host_id, matrix in matrices.items():
-        thresholds = {
-            feature: assignment.for_feature(feature).threshold_of(host_id)
-            for feature in features
-        }
-        detectors = {
-            feature: ThresholdDetector(
-                host_id=host_id, feature=feature, threshold=thresholds[feature]
-            )
-            for feature in features
-        }
-        test_matrix = matrix.week(week)
-        benign = {feature: test_matrix.series(feature) for feature in features}
-
-        feature_counts = {
-            feature: detectors[feature].alarm_count(benign[feature]) for feature in features
-        }
-        feature_fp = {
-            feature: detectors[feature].false_positive_rate(benign[feature])
-            for feature in features
-        }
-
-        feature_fn: Dict[Feature, float] = {feature: 0.0 for feature in features}
-        feature_alarm: Dict[Feature, Optional[bool]] = {
-            feature: None for feature in features
-        }
-        fused_fn = 0.0
-        alarm_raised: Optional[bool] = None
-        injections: Dict[Feature, InjectedSeries] = {}
-        if builder is not None:
-            if attack_assignment is None:
-                attack_thresholds = thresholds
-            else:
-                attack_thresholds = {
-                    feature: attack_assignment.for_feature(feature).threshold_of(host_id)
-                    for feature in features
-                }
-            attack = builder(host_id, test_matrix, attack_thresholds)
-            if attack is not None:
-                injections = _feature_injections(attack, benign)
-                for feature, injected in injections.items():
-                    feature_fn[feature] = detectors[feature].false_negative_rate(
-                        benign[feature], injected.attack_amounts
-                    )
-                    if injected.num_attack_bins > 0:
-                        feature_alarm[feature] = feature_fn[feature] < 1.0
-                if len(features) > 1:
-                    fused_fn, alarm_raised = _fused_false_negative_rate(
-                        features, fusion, thresholds, benign, injections
-                    )
-
-        if len(features) == 1:
-            # Bit-identical legacy path: the fused view of one feature IS the
-            # per-feature view (any fusion rule needs exactly 1 vote of 1).
-            only = features[0]
-            fused_point = OperatingPoint(
-                false_positive_rate=feature_fp[only], false_negative_rate=feature_fn[only]
-            )
-            fused_count = feature_counts[only]
-            alarm_raised = feature_alarm[only]
-            fused_fn = feature_fn[only]
-        else:
-            benign_indicators = np.stack(
-                [
-                    np.asarray(benign[feature].values) > thresholds[feature]
-                    for feature in features
-                ]
-            )
-            fused_benign = fusion.fuse(benign_indicators)
-            fused_count = int(np.count_nonzero(fused_benign))
-            fused_point = OperatingPoint(
-                false_positive_rate=float(fused_count) / benign[features[0]].num_bins,
-                false_negative_rate=fused_fn,
-            )
-
-        performances[host_id] = HostPerformance(
-            host_id=host_id,
-            thresholds=thresholds,
-            feature_operating_points={
-                feature: OperatingPoint(
-                    false_positive_rate=feature_fp[feature],
-                    false_negative_rate=feature_fn[feature],
-                )
-                for feature in features
-            },
-            feature_false_alarm_counts=feature_counts,
-            operating_point=fused_point,
-            false_alarm_count=fused_count,
-            alarm_raised=alarm_raised,
-            feature_alarm_raised=feature_alarm,
-        )
-    return performances
-
-
-def _fused_false_negative_rate(
-    features: Tuple[Feature, ...],
-    fusion: FusionRule,
-    thresholds: Mapping[Feature, float],
-    benign: Mapping[Feature, TimeSeries],
-    injections: Mapping[Feature, InjectedSeries],
-) -> Tuple[float, Optional[bool]]:
-    """Fused (FN, alarm_raised) over the union of attacked bins.
-
-    A bin counts as attacked when *any* evaluated feature carries injected
-    traffic in it; each feature's indicator on such a bin reflects what its
-    detector observes there (benign + its own injection, if any).
-    """
-    if not injections:
-        return 0.0, None
-    union_mask = np.any(
-        np.stack([injected.attack_mask for injected in injections.values()]), axis=0
-    )
-    num_attacked = int(np.count_nonzero(union_mask))
-    if num_attacked == 0:
-        return 0.0, None
-    indicators = []
-    for feature in features:
-        if feature in injections:
-            observed = np.asarray(injections[feature].observed.values)
-        else:
-            observed = np.asarray(benign[feature].values)
-        indicators.append(observed > thresholds[feature])
-    fused = fusion.fuse(np.stack(indicators))
-    missed = int(np.count_nonzero(~fused[union_mask]))
-    fused_fn = float(missed) / num_attacked
-    return fused_fn, fused_fn < 1.0

@@ -24,9 +24,8 @@ from typing import (
 
 import numpy as np
 
+from repro.attacks.base import BatchAttackFn
 from repro.core.evaluation import (
-    AttackBuilder,
-    DetectionAttackBuilder,
     DetectionProtocol,
     PolicyEvaluation,
     evaluate_policy,
@@ -362,7 +361,7 @@ def evaluate_scenario(
     population: EnterprisePopulation,
     policy: "ConfigurationPolicy",
     protocol: DetectionProtocol,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[BatchAttackFn] = None,
     attack_prevalence: float = 0.01,
     sample: Optional[SampleSpec] = None,
 ) -> ScenarioOutcome:
@@ -434,7 +433,7 @@ class PolicyComparison:
         self,
         feature: Union[Feature, DetectionProtocol],
         utility_weight: float = 0.4,
-        attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+        attack_builder: Optional[BatchAttackFn] = None,
     ) -> Dict[str, PolicyEvaluation]:
         """Evaluate every policy and return results by policy name.
 
@@ -458,7 +457,7 @@ class PolicyComparison:
         self,
         feature: Union[Feature, DetectionProtocol],
         weights: Sequence[float],
-        attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+        attack_builder: Optional[BatchAttackFn] = None,
     ) -> Dict[str, List[float]]:
         """Average utility per policy across a sweep of utility weights.
 

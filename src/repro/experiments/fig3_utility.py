@@ -22,8 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace
-from repro.attacks.mimicry import MimicryAttacker
+from repro.attacks.mimicry import mimicry_batch_attack
 from repro.attacks.naive import NaiveAttacker
 from repro.core.evaluation import (
     DetectionProtocol,
@@ -42,7 +41,6 @@ from repro.core.policies import (
 from repro.core.thresholds import UtilityHeuristic
 from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
 from repro.optimize import CoordinateAscentOptimizer, IndependentOptimizer, ThresholdOptimizer
 from repro.stats.summary import SummaryStatistics
 from repro.utils.validation import require
@@ -262,7 +260,6 @@ def run_fig3_cooptimized(
     test_week: int = 1,
     partial_groups: int = 8,
     optimizers: Optional[Mapping[str, ThresholdOptimizer]] = None,
-    attack_seed: int = 1701,
 ) -> CoOptimizedUtilityResult:
     """Compute the co-optimised Figure 3 variant on ``population``.
 
@@ -295,16 +292,7 @@ def run_fig3_cooptimized(
         test_week=test_week,
         utility_weight=utility_weight,
     )
-    target = features[0]
-
-    def build_mimicry(host_id: int, matrix: FeatureMatrix, thresholds) -> AttackTrace:
-        attacker = MimicryAttacker(
-            feature=target,
-            threshold=float(thresholds[target]),
-            evasion_probability=evasion_probability,
-        )
-        return attacker.build(matrix, np.random.default_rng((attack_seed, host_id)))
-
+    mimicry = mimicry_batch_attack(features[0], evasion_probability)
     training = train_protocol(matrices, protocol)
     mean_utilities: Dict[str, Dict[str, float]] = {}
     detection_rates: Dict[str, Dict[str, float]] = {}
@@ -320,7 +308,7 @@ def run_fig3_cooptimized(
         objectives: Dict[str, float] = {}
         for policy in policies:
             assignment = assign_policy(policy, training, protocol)
-            evaluation = measure_policy(matrices, assignment, protocol, build_mimicry)
+            evaluation = measure_policy(matrices, assignment, protocol, mimicry)
             utilities[policy.name] = evaluation.mean_utility()
             detections[policy.name] = float(
                 np.mean(list(evaluation.detection_rates().values()))

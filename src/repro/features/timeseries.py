@@ -16,7 +16,7 @@ import numpy as np
 from repro.features.definitions import Feature
 from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.timeutils import BinSpec, WEEK
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 
 class TimeSeries:
@@ -283,3 +283,23 @@ class FeatureMatrix:
             f"FeatureMatrix(host={self._host_id}, features={len(self._series)}, "
             f"bins={self.num_bins})"
         )
+
+
+def require_shared_bin_grid(matrices: Mapping[int, FeatureMatrix]) -> None:
+    """Raise :class:`ValidationError` unless every host shares one bin grid.
+
+    Measurement and the mimicry attacker score a population as stacked
+    ``(num_hosts, num_bins)`` arrays, which needs every host on the same
+    number of bins of the same width.  The error names the first host that
+    differs from the first host in ``matrices``.
+    """
+    hosts = iter(matrices.items())
+    first_id, first = next(hosts, (None, None))
+    for host_id, matrix in hosts:
+        if matrix.num_bins != first.num_bins or matrix.bin_width != first.bin_width:
+            raise ValidationError(
+                f"host {host_id} is on a different bin grid than host {first_id} "
+                f"({matrix.num_bins} bins of {matrix.bin_width:g}s vs "
+                f"{first.num_bins} bins of {first.bin_width:g}s); every host must "
+                "share one bin grid"
+            )

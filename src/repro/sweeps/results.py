@@ -4,8 +4,9 @@ Every evaluated scenario becomes one JSON line: the schema version, the sweep
 and scenario names, the full scenario spec (so a record is self-describing
 and re-runnable), the scalar metrics from
 :class:`~repro.core.experiment.ScenarioOutcome`, and timing/provenance.
-Appending is atomic at line granularity, so interrupted campaigns keep every
-completed scenario and concurrent readers only ever see whole records.
+A record is committed once its line is terminated, so interrupted campaigns
+keep every completed scenario: a torn final line left by a crash is skipped
+on read and truncated by the next append (:mod:`repro.utils.jsonl`).
 
 The aggregation helpers (:func:`aggregate`, :func:`pivot`,
 :func:`comparison_table`) read records back into cross-run comparisons:
@@ -15,7 +16,6 @@ group any record field (dotted paths reach into the spec, e.g.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.report import render_table
+from repro.utils.jsonl import append_jsonl, read_jsonl
 from repro.utils.validation import ValidationError, require
 
 #: Version stamped on every record; readers reject records from the future.
@@ -149,29 +150,11 @@ class ResultStore:
 
     def append(self, record: ScenarioRecord) -> None:
         """Append one record (creating the file and parent directories)."""
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_dict(), sort_keys=True)
-        with self._path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        append_jsonl(self._path, record.to_dict())
 
     def records(self) -> List[ScenarioRecord]:
-        """Every stored record, in append order."""
-        if not self._path.is_file():
-            return []
-        records: List[ScenarioRecord] = []
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    raise ValidationError(
-                        f"{self._path}:{line_number}: not valid JSON"
-                    ) from None
-                records.append(ScenarioRecord.from_dict(payload))
-        return records
+        """Every committed record, in append order."""
+        return [ScenarioRecord.from_dict(payload) for payload in read_jsonl(self._path)]
 
     def __len__(self) -> int:
         return len(self.records())

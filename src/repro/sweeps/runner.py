@@ -27,6 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.attacks.base import BatchAttackFn
 from repro.core.evaluation import DetectionProtocol
 from repro.core.experiment import ScenarioOutcome, evaluate_scenario
 from repro.engine import EngineStats, PopulationEngine, population_cache_key
@@ -71,7 +72,7 @@ class ScenarioComponents:
     """
 
     protocol: DetectionProtocol
-    attack_builder: Optional[Callable[..., Any]]
+    attack_builder: Optional[BatchAttackFn]
     policy: Any
     schedule: Any
 

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.attacks.base import AttackTrace, FeatureInjection, uniform_injection
+from repro.attacks.base import AttackTrace, FeatureInjection, VictimBatch, uniform_injection
 from repro.attacks.botnet import Botnet, CommandAndControl
 from repro.attacks.injection import inject_attack, inject_population, overlay_attack_matrix
-from repro.attacks.mimicry import MimicryAttacker, hidden_traffic_by_host
+from repro.attacks.mimicry import (
+    MimicryAttacker,
+    batch_hidden_traffic,
+    hidden_traffic_by_host,
+    mimicry_batch_attack,
+)
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep, constant_rate_attack
 from repro.attacks.primitives import DDoSFloodModel, PortScanModel, SpamCampaignModel
-from repro.attacks.storm import generate_storm_trace
+from repro.attacks.storm import generate_storm_trace, storm_batch_attack
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -240,3 +245,137 @@ class TestInjection:
             np.asarray(injected.observed.values),
             np.asarray(benign.values) + size,
         )
+
+
+def _victim_batch(matrices, thresholds=None, bin_width=15 * MINUTE):
+    """The victims of ``matrices`` as measurement hands them to an attack."""
+    host_ids = list(matrices)
+    first = matrices[host_ids[0]]
+    return VictimBatch(
+        host_ids=host_ids,
+        bin_spec=BinSpec(width=bin_width),
+        num_bins=first.num_bins,
+        thresholds={
+            feature: np.asarray(values, dtype=float)
+            for feature, values in (thresholds or {}).items()
+        },
+        values_provider=lambda feature: np.stack(
+            [np.asarray(matrices[host_id].series(feature).values) for host_id in host_ids]
+        ),
+    )
+
+
+class TestVictimBatch:
+    def test_values_are_stacked_once_per_feature(self):
+        calls = []
+
+        def provider(feature):
+            calls.append(feature)
+            return np.ones((2, 3))
+
+        batch = VictimBatch((4, 9), BinSpec(width=900.0), 3, {}, provider)
+        assert batch.num_hosts == 2
+        assert batch.host_ids == (4, 9)
+        first = batch.values(Feature.TCP_CONNECTIONS)
+        assert batch.values(Feature.TCP_CONNECTIONS) is first
+        batch.values(Feature.UDP_CONNECTIONS)
+        assert calls == [Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS]
+
+    def test_attacks_that_need_no_values_never_stack_them(self):
+        def provider(feature):
+            raise AssertionError("naive and storm attacks must not stack benign values")
+
+        batch = VictimBatch((1, 2), BinSpec(width=15 * MINUTE), 672, {}, provider)
+        NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=3.0).host_builder()(batch)
+        storm_batch_attack(generate_storm_trace(seed=1))(batch)
+
+
+class TestNaiveBatchForm:
+    def test_always_on_fills_every_bin_of_every_host(self):
+        batch = _victim_batch({1: _matrix([5.0] * 10), 2: _matrix([6.0] * 10, host_id=2)})
+        amounts = NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=50.0).host_builder()(batch)
+        assert list(amounts) == [Feature.TCP_CONNECTIONS]
+        np.testing.assert_array_equal(amounts[Feature.TCP_CONNECTIONS], np.full((2, 10), 50.0))
+
+    def test_intermittent_rows_match_build_with_each_hosts_generator(self):
+        matrices = {host_id: _matrix([5.0] * 200, host_id=host_id) for host_id in (3, 8, 11)}
+        attacker = NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=20.0, active_fraction=0.4)
+        rows = attacker.host_builder()(_victim_batch(matrices))[Feature.TCP_CONNECTIONS]
+        for index, (host_id, victim) in enumerate(matrices.items()):
+            trace = attacker.build(victim, np.random.default_rng(host_id))
+            np.testing.assert_array_equal(rows[index], trace.amounts(Feature.TCP_CONNECTIONS))
+
+
+class TestMimicryBatchForm:
+    def test_batch_hidden_traffic_matches_the_per_host_plan(self):
+        matrices = {
+            1: _matrix(list(range(100))),
+            2: _matrix([float(v % 7) for v in range(100)], host_id=2),
+            3: _matrix([40.0] * 100, host_id=3),
+        }
+        thresholds = np.array([150.0, 12.0, 30.0])
+        stacked = np.stack(
+            [np.asarray(m.series(Feature.TCP_CONNECTIONS).values) for m in matrices.values()]
+        )
+        hidden = batch_hidden_traffic(stacked, thresholds, 0.9)
+        for index, victim in enumerate(matrices.values()):
+            plan = MimicryAttacker(Feature.TCP_CONNECTIONS, thresholds[index], 0.9).plan(victim)
+            assert hidden[index] == plan.hidden_traffic
+        assert hidden[2] == 0.0  # benign traffic alone already sits above 30
+
+    def test_attack_injects_each_hosts_hidden_traffic_in_every_bin(self):
+        matrices = {1: _matrix(list(range(50))), 2: _matrix([1.0] * 50, host_id=2)}
+        batch = _victim_batch(matrices, {Feature.TCP_CONNECTIONS: [100.0, 100.0]})
+        amounts = mimicry_batch_attack(Feature.TCP_CONNECTIONS, 0.9)(batch)
+        rows = amounts[Feature.TCP_CONNECTIONS]
+        assert rows.shape == (2, 50)
+        expected = hidden_traffic_by_host(matrices, {1: 100.0, 2: 100.0}, Feature.TCP_CONNECTIONS)
+        np.testing.assert_array_equal(rows[0], np.full(50, expected[1]))
+        np.testing.assert_array_equal(rows[1], np.full(50, expected[2]))
+
+    def test_attack_follows_the_thresholds_it_is_handed(self):
+        matrices = {1: _matrix(list(range(50)))}
+        attack = mimicry_batch_attack(Feature.TCP_CONNECTIONS)
+        low = attack(_victim_batch(matrices, {Feature.TCP_CONNECTIONS: [60.0]}))
+        high = attack(_victim_batch(matrices, {Feature.TCP_CONNECTIONS: [90.0]}))
+        assert low[Feature.TCP_CONNECTIONS][0, 0] < high[Feature.TCP_CONNECTIONS][0, 0]
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValidationError):
+            mimicry_batch_attack(Feature.TCP_CONNECTIONS, evasion_probability=1.5)
+        with pytest.raises(ValidationError, match="num_hosts, num_bins"):
+            batch_hidden_traffic(np.ones(5), np.ones(1))
+
+    def test_hidden_traffic_of_no_hosts_is_empty(self):
+        assert hidden_traffic_by_host({}, {}, Feature.TCP_CONNECTIONS) == {}
+
+
+class TestStormBatchForm:
+    def test_trace_is_replayed_on_every_host(self):
+        trace = generate_storm_trace(seed=5)
+        matrices = {h: _matrix([1.0] * trace.num_bins, host_id=h) for h in (1, 2, 3)}
+        amounts = storm_batch_attack(trace)(_victim_batch(matrices))
+        assert set(amounts) == set(trace.features)
+        for feature, rows in amounts.items():
+            assert rows.shape == (3, trace.num_bins)
+            for row in rows:
+                np.testing.assert_array_equal(row, trace.amounts(feature))
+
+    def test_trace_is_padded_or_truncated_to_the_test_week(self):
+        trace = generate_storm_trace(duration=WEEK / 7, seed=6)
+        victims = _victim_batch({1: _matrix([1.0] * (trace.num_bins + 4))})
+        row = storm_batch_attack(trace)(victims)[Feature.DISTINCT_CONNECTIONS][0]
+        np.testing.assert_array_equal(
+            row[: trace.num_bins], trace.amounts(Feature.DISTINCT_CONNECTIONS)
+        )
+        np.testing.assert_array_equal(row[trace.num_bins :], np.zeros(4))
+        shorter = storm_batch_attack(trace)(_victim_batch({1: _matrix([1.0] * 5)}))
+        np.testing.assert_array_equal(
+            shorter[Feature.DISTINCT_CONNECTIONS][0],
+            trace.amounts(Feature.DISTINCT_CONNECTIONS)[:5],
+        )
+
+    def test_trace_at_another_bin_width_raises(self):
+        trace = generate_storm_trace(duration=WEEK, bin_width=5 * MINUTE, seed=7)
+        with pytest.raises(ValidationError, match="same bin width"):
+            storm_batch_attack(trace)(_victim_batch({1: _matrix([1.0] * 10)}))

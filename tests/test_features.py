@@ -1,4 +1,4 @@
-"""Tests for repro.features: definitions, extraction, time series, streaming."""
+"""Tests for repro.features: definitions, extraction, time series."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.features.definitions import FEATURES, Feature, PAPER_FEATURES, feature_by_name
 from repro.features.extractor import extract_feature_matrix
-from repro.features.streaming import StreamingFeatureCounter
-from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.features.timeseries import FeatureMatrix, TimeSeries, require_shared_bin_grid
 from repro.traces.flow import ConnectionRecord, flow_key_of
 from repro.traces.packet import TCPFlags, ip_to_int, make_tcp_packet, make_udp_packet
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -186,6 +185,30 @@ class TestFeatureMatrix:
         assert matrix[Feature.TCP_CONNECTIONS].total() == 10
 
 
+
+def _grid_matrix(host_id, num_bins, bin_width=15 * MINUTE):
+    series = TimeSeries(np.zeros(num_bins), BinSpec(width=bin_width))
+    return FeatureMatrix(host_id, {Feature.TCP_CONNECTIONS: series})
+
+
+class TestSharedBinGrid:
+    def test_shared_grid_accepted(self):
+        require_shared_bin_grid({h: _grid_matrix(h, 8) for h in (3, 1, 2)})
+        require_shared_bin_grid({5: _grid_matrix(5, 8)})
+        require_shared_bin_grid({})
+
+    def test_different_bin_count_names_the_first_host_that_differs(self):
+        matrices = {4: _grid_matrix(4, 8), 6: _grid_matrix(6, 8), 2: _grid_matrix(2, 9)}
+        matrices[7] = _grid_matrix(7, 10)
+        expected = "host 2 is on a different bin grid than host 4"
+        with pytest.raises(ValidationError, match=expected):
+            require_shared_bin_grid(matrices)
+
+    def test_different_bin_width_names_the_host(self):
+        matrices = {1: _grid_matrix(1, 8), 2: _grid_matrix(2, 8, bin_width=5 * MINUTE)}
+        with pytest.raises(ValidationError, match=r"host 2 .*8 bins of 300s vs 8 bins of 900s"):
+            require_shared_bin_grid(matrices)
+
 class TestFeatureExtractor:
     def test_counts_by_feature(self):
         records = [
@@ -225,41 +248,3 @@ class TestFeatureExtractor:
         )
         matrix = extract_feature_matrix(1, [record], duration=15 * MINUTE)
         assert matrix[Feature.TCP_CONNECTIONS].total() == 0
-
-
-class TestStreamingCounter:
-    def test_matches_batch_extractor(self):
-        records = [
-            _record(60.0 * i, dst_port=80 if i % 2 else 443, udp=(i % 5 == 0)) for i in range(60)
-        ]
-        records.sort(key=lambda r: r.start_time)
-        duration = 3600.0
-        batch = extract_feature_matrix(1, records, bin_width=15 * MINUTE, duration=duration)
-
-        counter = StreamingFeatureCounter(BinSpec(width=15 * MINUTE))
-        windows = counter.feed_many(records) + counter.flush()
-        streaming_totals = {feature: 0.0 for feature in PAPER_FEATURES}
-        for window in windows:
-            for feature in PAPER_FEATURES:
-                streaming_totals[feature] += window.count(feature)
-        for feature in (Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS, Feature.DNS_CONNECTIONS):
-            assert streaming_totals[feature] == pytest.approx(batch[feature].total())
-
-    def test_idle_windows_emitted(self):
-        counter = StreamingFeatureCounter(BinSpec(width=15 * MINUTE))
-        counter.feed(_record(10.0))
-        closed = counter.feed(_record(46 * MINUTE))
-        assert len(closed) == 3
-        assert closed[1].counts[Feature.TCP_CONNECTIONS] == 0.0
-
-    def test_out_of_order_rejected(self):
-        counter = StreamingFeatureCounter()
-        counter.feed(_record(100.0))
-        with pytest.raises(ValidationError):
-            counter.feed(_record(50.0))
-
-    def test_flush_resets(self):
-        counter = StreamingFeatureCounter()
-        counter.feed(_record(10.0))
-        assert len(counter.flush()) == 1
-        assert counter.flush() == []

@@ -119,12 +119,7 @@ def _two_feature_population(rng_seed: int = 3, num_hosts: int = 4):
 
 
 def _naive_builder(feature: Feature, size: float):
-    def build(host_id, matrix):
-        return NaiveAttacker(feature=feature, attack_size=size).build(
-            matrix, np.random.default_rng(host_id)
-        )
-
-    return build
+    return NaiveAttacker(feature=feature, attack_size=size).host_builder()
 
 
 class TestMultiFeatureEvaluation:
@@ -210,31 +205,29 @@ class TestMultiFeatureEvaluation:
         assert outcome.num_features == 1
         assert outcome.per_feature == {}
 
-    def test_threshold_aware_attack_builder_receives_thresholds(self):
+    def test_attack_batch_carries_each_hosts_assigned_thresholds(self):
         matrices = _two_feature_population()
-        seen = {}
+        batches = []
 
-        def builder(host_id, matrix, thresholds):
-            seen[host_id] = dict(thresholds)
-            return None  # noqa: RET501  # None is the builder contract for "no attack"
+        def attack(batch):
+            batches.append(batch)
+            return {}
 
-        protocol = DetectionProtocol(features=(FEATURE_A, FEATURE_B))
-        evaluation = evaluate_policy(matrices, FullDiversityPolicy(), protocol, builder)
-        assert set(seen) == set(matrices)
-        for host_id, thresholds in seen.items():
-            assert thresholds == evaluation.performances[host_id].thresholds
-
-    def test_keyword_only_thresholds_builder_supported(self):
-        matrices = _two_feature_population()
-        seen = {}
-
-        def builder(host_id, matrix, *, thresholds):
-            seen[host_id] = dict(thresholds)
-            return None  # noqa: RET501  # None is the builder contract for "no attack"
-
-        protocol = DetectionProtocol(features=(FEATURE_A, FEATURE_B))
-        evaluate_policy(matrices, FullDiversityPolicy(), protocol, builder)
-        assert set(seen) == set(matrices)
+        protocol = DetectionProtocol(
+            features=(FEATURE_A, FEATURE_B), fusion=FusionRule.k_of_n(2)
+        )
+        evaluation = evaluate_policy(matrices, FullDiversityPolicy(), protocol, attack)
+        [batch] = batches
+        assert batch.host_ids == tuple(matrices)
+        assert set(batch.thresholds) == {FEATURE_A, FEATURE_B}
+        for index, host_id in enumerate(batch.host_ids):
+            assert {
+                feature: float(vector[index]) for feature, vector in batch.thresholds.items()
+            } == evaluation.performances[host_id].thresholds
+        # An attack injecting nothing measures as no attack at all.
+        assert evaluation.performances == evaluate_policy(
+            matrices, FullDiversityPolicy(), protocol
+        ).performances
 
 
 class TestSingleFeatureGolden:

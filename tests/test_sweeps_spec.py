@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.attacks.base import VictimBatch
+from repro.features.definitions import Feature
 from repro.sweeps import (
+    AttackSpec,
     ScenarioSpec,
     SweepSpec,
     builtin_sweep_names,
@@ -19,6 +24,7 @@ from repro.sweeps import (
 )
 from repro.sweeps import toml_io
 from repro.sweeps.spec import PopulationSpec
+from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError
 
 # ---------------------------------------------------------------- strategies
@@ -694,3 +700,56 @@ class TestTomlIO:
         parsed = toml_io.loads(toml_io.dumps(data))
         assert isinstance(parsed["x"]["a"], float)
         assert isinstance(parsed["x"]["b"], int)
+
+
+def _spec_victims(host_ids, num_bins=96, bin_width=900.0):
+    rng = np.random.default_rng(3)
+    stacks = {}
+
+    def provider(feature):
+        if feature not in stacks:
+            stacks[feature] = rng.uniform(0.0, 20.0, size=(len(host_ids), num_bins))
+        return stacks[feature]
+
+    thresholds = {feature: np.full(len(host_ids), 25.0) for feature in Feature}
+    return VictimBatch(host_ids, BinSpec(width=bin_width), num_bins, thresholds, provider)
+
+
+class TestAttackSpecBatchForms:
+    @pytest.mark.parametrize(
+        "spec, target",
+        [
+            (AttackSpec(kind="naive", size=9.0, active_fraction=0.5), Feature.TCP_CONNECTIONS),
+            (AttackSpec(kind="mimicry"), Feature.TCP_CONNECTIONS),
+            (AttackSpec(kind="mimicry-vs-schedule"), Feature.TCP_CONNECTIONS),
+            (
+                AttackSpec(
+                    kind="botnet", compromise_probability=0.5, feature="num_udp_connections"
+                ),
+                Feature.UDP_CONNECTIONS,
+            ),
+            (AttackSpec(kind="storm"), Feature.DISTINCT_CONNECTIONS),
+        ],
+        ids=["naive", "mimicry", "mimicry-vs-schedule", "botnet", "storm"],
+    )
+    def test_every_kind_returns_non_negative_host_by_bin_amounts(self, spec, target):
+        attack = spec.build_builder(Feature.TCP_CONNECTIONS, 900.0)
+        batch = _spec_victims((1, 2, 3, 4), num_bins=672)
+        amounts = attack(batch)
+        assert target in amounts
+        for rows in amounts.values():
+            assert rows.shape == (4, 672)
+            assert np.all(rows >= 0.0)
+        assert np.any(amounts[target] > 0.0)
+
+    def test_none_builds_no_attack(self):
+        assert AttackSpec(kind="none").build_builder(Feature.TCP_CONNECTIONS, 900.0) is None
+
+    @pytest.mark.parametrize("kind", ["naive", "botnet"])
+    def test_a_hosts_draws_do_not_depend_on_the_other_victims(self, kind):
+        spec = AttackSpec(kind=kind, active_fraction=0.5, compromise_probability=0.6, seed=11)
+        attack = spec.build_builder(Feature.TCP_CONNECTIONS, 900.0)
+        together = attack(_spec_victims((2, 5, 9)))
+        alone = attack(_spec_victims((5,)))
+        for feature, rows in alone.items():
+            np.testing.assert_array_equal(together[feature][1], rows[0])

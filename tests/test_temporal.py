@@ -302,36 +302,36 @@ class TestTimeline:
         assert timeline.week_entry(3).trained_weeks == (1, 3)
 
     def test_schedule_aware_attacker_sees_current_thresholds(self, drifting_population):
-        seen = {}
+        seen = []
 
-        def recording_builder(host_id, matrix, thresholds):
-            seen.setdefault(host_id, []).append(thresholds[Feature.TCP_CONNECTIONS])
-            return None  # noqa: RET501  # None is the builder contract for "no attack"
+        def recording_attack(batch):
+            seen.append(float(batch.thresholds[Feature.TCP_CONNECTIONS][0]))
+            return {}
 
-        # Plain builder: always handed the initial deployment's thresholds.
+        # Plain attack: always handed the initial deployment's thresholds.
         evaluate_timeline(
             drifting_population,
             _policy(),
             PROTOCOL,
             RetrainSchedule.every_k_weeks(1),
-            attack_builder=recording_builder,
+            attack_builder=recording_attack,
         )
-        host = drifting_population.host_ids[0]
-        assert len(set(seen[host])) == 1
+        assert len(seen) > 1
+        assert len(set(seen)) == 1
 
         seen.clear()
-        recording_builder.tracks_schedule = True
+        recording_attack.tracks_schedule = True
         timeline = evaluate_timeline(
             drifting_population,
             _policy(),
             PROTOCOL,
             RetrainSchedule.every_k_weeks(1),
-            attack_builder=recording_builder,
+            attack_builder=recording_attack,
         )
         assert timeline.retrain_count == 2
         # The schedule-tracking attacker sees the thresholds move as the
         # defender retrains on the drifting weeks.
-        assert len(set(seen[host])) > 1
+        assert len(set(seen)) > 1
 
     def test_warm_start_never_hurts_the_objective(self, drifting_population):
         features = (Feature.TCP_CONNECTIONS, Feature.DNS_CONNECTIONS)

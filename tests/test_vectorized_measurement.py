@@ -6,10 +6,10 @@ measurement loop: 54 policy x protocol x attack cases at repr precision, the
 Figure 4(b) hidden-traffic ingredient and a full small-scale fig4 run.  The
 batched array path must reproduce every float bit for bit.
 
-The second half cross-checks ``_measure_assignment_batched`` against the
-retained per-host reference loop on fresh populations, covering the
-measure-only entry points (explicit test weeks, stale attack assignments)
-the golden fixture does not exercise.
+Its ``per_host_cases`` section pins the measure-only entry points
+(explicit test weeks, stale attack assignments) on a 12-host, 4-week
+population; those were captured with ``measure_assignment`` routed through
+the per-host reference loop before that loop was removed.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ import pytest
 from repro.attacks.mimicry import hidden_traffic_by_host
 from repro.core.evaluation import (
     DetectionProtocol,
-    _measure_assignment_batched,
-    _measure_assignment_per_host,
-    _adapt_attack_builder,
     detection_training_distributions,
     evaluate_policy,
     measure_assignment,
@@ -40,6 +37,7 @@ from repro.core.thresholds import PercentileHeuristic
 from repro.experiments.fig4_attacker import run_fig4
 from repro.features.definitions import Feature
 from repro.sweeps.spec import AttackSpec
+from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
@@ -155,28 +153,27 @@ class TestGoldenBitIdentity:
             assert actual == golden["fig4"]["hidden_traffic"][name]
 
 
-def _measure_both(matrices, assignment, protocol, builder=None, week=None, attack_assignment=None):
-    adapted = _adapt_attack_builder(builder)
-    test_week = protocol.test_week if week is None else week
-    batched = _measure_assignment_batched(
-        matrices, assignment, protocol.features, protocol.fusion, adapted, test_week,
-        attack_assignment,
+def _measured(matrices, assignment, protocol, builder=None, **kwargs) -> dict:
+    performances = measure_assignment(
+        matrices, assignment, protocol, attack_builder=builder, **kwargs
     )
-    reference = _measure_assignment_per_host(
-        matrices, assignment, protocol.features, protocol.fusion, adapted, test_week,
-        attack_assignment,
-    )
-    return batched, reference
+    return {str(host_id): _perf_payload(perf) for host_id, perf in sorted(performances.items())}
 
 
-class TestBatchedEqualsPerHostLoop:
+class TestPerHostLoopFixture:
+    """``measure_assignment`` against the per-host reference loop's outputs."""
+
     @pytest.fixture(scope="class")
     def population(self):
         return generate_enterprise(EnterpriseConfig(num_hosts=12, num_weeks=4, seed=909))
 
+    @pytest.fixture(scope="class")
+    def cases(self, golden):
+        return golden["per_host_cases"]["cases"]
+
     @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
     @pytest.mark.parametrize("attack_name", list(ATTACKS))
-    def test_equal_on_all_cases(self, population, proto_name, attack_name):
+    def test_all_cases(self, population, cases, proto_name, attack_name):
         protocol = PROTOCOLS[proto_name]
         matrices = population.matrices()
         builder = ATTACKS[attack_name].build_builder(
@@ -188,10 +185,11 @@ class TestBatchedEqualsPerHostLoop:
         assignment = FullDiversityPolicy(PercentileHeuristic(99.0)).assign(
             training, fusion=protocol.fusion
         )
-        batched, reference = _measure_both(matrices, assignment, protocol, builder)
-        assert batched == reference
+        actual = _measured(matrices, assignment, protocol, builder)
+        assert actual == cases[f"{proto_name}/{attack_name}"]
 
-    def test_equal_on_explicit_test_week(self, population):
+    @pytest.mark.parametrize("week", [1, 2, 3])
+    def test_explicit_test_week(self, population, cases, week):
         protocol = PROTOCOLS["single"]
         matrices = population.matrices()
         builder = ATTACKS["naive"].build_builder(
@@ -203,13 +201,10 @@ class TestBatchedEqualsPerHostLoop:
         assignment = HomogeneousPolicy(PercentileHeuristic(99.0)).assign(
             training, fusion=protocol.fusion
         )
-        for week in (1, 2, 3):
-            batched, reference = _measure_both(
-                matrices, assignment, protocol, builder, week=week
-            )
-            assert batched == reference
+        actual = _measured(matrices, assignment, protocol, builder, test_week=week)
+        assert actual == cases[f"test-week-{week}"]
 
-    def test_equal_with_stale_attack_assignment(self, population):
+    def test_stale_attack_assignment(self, population, cases):
         """A mimicry attacker evading stale thresholds (attack_assignment)."""
         protocol = PROTOCOLS["single"]
         matrices = population.matrices()
@@ -225,40 +220,41 @@ class TestBatchedEqualsPerHostLoop:
             detection_training_distributions(matrices, protocol.features, 2),
             fusion=protocol.fusion,
         )
-        batched, reference = _measure_both(
-            matrices, fresh, protocol, builder, week=3, attack_assignment=stale
+        actual = _measured(
+            matrices, fresh, protocol, builder, test_week=3, attack_assignment=stale
         )
-        assert batched == reference
+        assert actual == cases["stale-mimicry"]
 
-    def test_irregular_grid_falls_back_to_per_host_loop(self, population):
-        """Mixed bin counts route through the reference loop unchanged."""
-        matrices = dict(population.matrices())
-        host_ids = list(matrices)
-        # Truncate one host's matrix to one week: the grid is no longer
-        # uniform and measure_assignment must use the per-host path.
-        clipped = matrices[host_ids[0]].slice_time(0.0, 2 * 7 * 24 * 3600.0)
+
+class TestSharedBinGridRequired:
+    @pytest.fixture
+    def mixed_grid(self, matrices):
+        """The 24-host population with its sixth host cut to one week."""
         irregular = dict(matrices)
-        irregular[host_ids[0]] = clipped
+        clipped = list(irregular)[5]
+        irregular[clipped] = irregular[clipped].slice_time(0.0, 7 * 24 * 3600.0)
+        return irregular, clipped
+
+    def test_measure_assignment_names_the_first_mismatching_host(self, matrices, mixed_grid):
+        irregular, clipped = mixed_grid
         protocol = PROTOCOLS["single"]
-        training = detection_training_distributions(
-            irregular, protocol.features, protocol.train_week
-        )
         assignment = FullDiversityPolicy(PercentileHeuristic(99.0)).assign(
-            training, fusion=protocol.fusion
+            detection_training_distributions(matrices, protocol.features, 0),
+            fusion=protocol.fusion,
         )
-        performances = measure_assignment(irregular, assignment, protocol)
-        reference = _measure_assignment_per_host(
-            irregular, assignment, protocol.features, protocol.fusion, None,
-            protocol.test_week, None,
+        with pytest.raises(ValidationError, match=f"host {clipped} is on a different bin grid"):
+            measure_assignment(irregular, assignment, protocol)
+
+    def test_hidden_traffic_names_the_first_mismatching_host(self, mixed_grid):
+        irregular, clipped = mixed_grid
+        thresholds = {host_id: 50.0 for host_id in irregular}
+        with pytest.raises(ValidationError, match=f"host {clipped} is on a different bin grid"):
+            hidden_traffic_by_host(irregular, thresholds, Feature.TCP_CONNECTIONS)
+
+    def test_storm_trace_at_another_bin_width_raises(self, matrices):
+        protocol = PROTOCOLS["single"]
+        attack = ATTACKS["storm"].build_builder(
+            protocol.primary_feature, 2 * CONFIG.bin_width
         )
-        assert performances == reference
-
-    def test_batch_attribute_survives_builder_adaptation(self):
-        """A two-argument builder's vectorised form is kept by the adapter."""
-
-        def builder(host_id, matrix):
-            return None
-
-        builder.batch = lambda batch: None
-        adapted = _adapt_attack_builder(builder)
-        assert getattr(adapted, "batch", None) is builder.batch
+        with pytest.raises(ValidationError, match="same bin width"):
+            evaluate_policy(matrices, HomogeneousPolicy(), protocol, attack_builder=attack)
