@@ -8,9 +8,15 @@ budget (10240 hosts x 2 weeks is ~630 MiB of float64 bins alone), so the
 assertion is what proves the sharded + sampled path never builds the full
 host array.
 
-The sampled outcome itself is sanity-checked too: the bootstrap interval
-must bracket the point estimate and the sampling provenance fields must
-round-trip into the outcome.
+The scenario is one where detection matters: per-host (full-diversity)
+thresholds against a naive attack sized at the median sampled host's
+99th-percentile training-week count, so roughly half the sampled hosts can
+catch it.  The sampled outcome is sanity-checked too: the mean
+false-negative rate must stay below ``MAX_MEAN_FALSE_NEGATIVE_RATE`` (an
+attack nobody detects scores FN = 1 and utility 1 - 0.4 * FN, which would
+make the check vacuous), the bootstrap interval must bracket the point
+estimate, and the sampling provenance fields must round-trip into the
+outcome.
 
 Usage::
 
@@ -24,6 +30,11 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional, Sequence
+
+#: The sampled mean false-negative rate must stay below this.  The smoke's
+#: attack scores FN ~0.6 (10240 hosts, sample 64); an attack sized below
+#: nearly every host's threshold scores ~0.99.
+MAX_MEAN_FALSE_NEGATIVE_RATE = 0.9
 
 
 def peak_rss_mb() -> float:
@@ -42,22 +53,40 @@ def run_smoke(
     cache_dir: Optional[str],
 ) -> tuple:
     """Run the sampled scale-out evaluation; returns ``(outcome, population)``."""
-    from repro.core.sampling import SampleSpec
+    import numpy as np
+
+    from repro.core.sampling import SampleSpec, sample_host_ids
     from repro.engine import PopulationEngine
     from repro.sweeps.runner import run_scenario
-    from repro.sweeps.spec import EvaluationSpec, PopulationSpec, ScenarioSpec
+    from repro.sweeps.spec import (
+        AttackSpec,
+        EvaluationSpec,
+        PolicySpec,
+        PopulationSpec,
+        ScenarioSpec,
+    )
 
     engine = PopulationEngine(cache_dir=cache_dir)
-    spec = ScenarioSpec(
-        name="scaleout-smoke",
-        population=PopulationSpec(num_hosts=hosts, num_weeks=weeks),
-        evaluation=EvaluationSpec(sample=SampleSpec(size=sample, seed=7)),
-    ).validate()
+    population_spec = PopulationSpec(num_hosts=hosts, num_weeks=weeks)
+    evaluation = EvaluationSpec(sample=SampleSpec(size=sample, seed=7))
     population = engine.generate_sharded(
-        spec.population.to_config(),
+        population_spec.to_config(),
         hosts_per_shard=hosts_per_shard,
         max_resident_shards=max_resident_shards,
     )
+    chosen = sample_host_ids(population.host_ids, sample, evaluation.sample.seed)
+    feature = evaluation.features_enum()[0]
+    training_p99 = [
+        matrix.series(feature).week(evaluation.train_week).percentile(99)
+        for matrix in population.matrices_for(chosen).values()
+    ]
+    spec = ScenarioSpec(
+        name="scaleout-smoke",
+        population=population_spec,
+        policy=PolicySpec(kind="full-diversity"),
+        attack=AttackSpec(kind="naive", size=float(np.median(training_p99))),
+        evaluation=evaluation,
+    ).validate()
     return run_scenario(spec, population), population
 
 
@@ -72,6 +101,11 @@ def check_outcome(outcome, sample: int, budget_mb: float) -> List[str]:
         errors.append(
             f"bootstrap interval [{outcome.utility_ci_low}, {outcome.utility_ci_high}] "
             f"does not bracket the point estimate {outcome.mean_utility}"
+        )
+    if not outcome.mean_false_negative_rate < MAX_MEAN_FALSE_NEGATIVE_RATE:
+        errors.append(
+            f"sampled mean false-negative rate {outcome.mean_false_negative_rate:.3f} is not "
+            f"below {MAX_MEAN_FALSE_NEGATIVE_RATE} — the attack went (almost) undetected"
         )
     if outcome.bootstrap_iterations <= 0:
         errors.append("outcome.bootstrap_iterations missing from the sampled outcome")
@@ -116,6 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"OK: {args.hosts} hosts in {population.num_shards} shard(s), "
         f"sampled {outcome.sample_size} -> mean_utility {outcome.mean_utility:.4f} "
+        f"mean FN {outcome.mean_false_negative_rate:.3f} "
         f"ci{outcome.sample_confidence:.0%} [{outcome.utility_ci_low:.4f}, "
         f"{outcome.utility_ci_high:.4f}], peak RSS {peak_rss_mb():.1f} MiB "
         f"(budget {args.budget_mb:.0f} MiB)"

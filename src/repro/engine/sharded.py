@@ -8,12 +8,16 @@ A sharded population lives in a ``population-<key>.rpopd/`` directory:
 * ``shard-NNNNN.rpsh`` — one fixed-size host range each.  A shard file holds
   the profiles of its hosts followed by one contiguous
   ``(num_hosts, num_features, num_bins)`` little-endian float64 block, so the
-  whole feature payload of a shard maps straight into a
-  :class:`numpy.memmap` — loading a shard never copies bin values.
+  whole feature payload of a shard is one array view of the mapped file —
+  loading a shard never copies bin values.
 
 :class:`ShardedPopulation` mirrors the
 :class:`~repro.workload.enterprise.EnterprisePopulation` accessors but keeps
-only a bounded LRU set of shards resident.  Shards are produced on demand:
+only a bounded LRU set of shards resident.  A resident shard is one block
+plus its decoded profile table; the per-host
+:class:`~repro.features.timeseries.FeatureMatrix` and
+:class:`~repro.workload.profiles.HostProfile` objects are built only for the
+hosts a caller asks for.  Shards are produced on demand:
 from their ``.rpsh`` file when it exists (zero-copy mmap), otherwise by
 regenerating exactly that host range — per-host streams derive from
 ``(config.seed, host_id)`` alone, so a shard generated in isolation is
@@ -25,7 +29,9 @@ and the manifest updated, so a later open resumes where this one stopped.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -41,8 +47,6 @@ from repro.engine.serialization import (
     _MATRIX_STRUCT,
     _ROLE_ORDER,
     _feature_at,
-    _read_exact,
-    _role_at,
     config_payload,
 )
 from repro.features.definitions import Feature
@@ -161,91 +165,255 @@ class _DigestSink:
         return self._digest.hexdigest()
 
 
-def _read_shard(
-    path: Path, use_mmap: bool = True
-) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
-    """Read a shard written by :func:`_write_shard`.
+#: The fixed-size parts of a shard's profile section as numpy records: a host
+#: record (``_HOST_STRUCT`` plus its intensity count) and an intensity record
+#: (feature index plus ``_INTENSITY_STRUCT``).  Both are packed, like the file.
+_HOST_RECORD = np.dtype(
+    [
+        ("host_id", "<u4"),
+        ("role", "u1"),
+        ("is_laptop", "u1"),
+        ("master_intensity", "<f8"),
+        ("num_intensities", "u1"),
+    ]
+)
+_INTENSITY_RECORD = np.dtype(
+    [
+        ("feature", "u1"),
+        ("scale", "<f8"),
+        ("body_sigma", "<f8"),
+        ("burst_probability", "<f8"),
+        ("burst_alpha", "<f8"),
+    ]
+)
+assert _HOST_RECORD.itemsize == _HOST_STRUCT.size + 1
+assert _INTENSITY_RECORD.itemsize == 1 + _INTENSITY_STRUCT.size
+#: Magic, then the ``<HI`` format version and host count (``write_header``).
+_HEADER_SIZE = len(_SHARD_MAGIC) + 6
 
-    With ``use_mmap`` (the default) the value block is not read at all: each
-    host's series wraps a row view of one :class:`numpy.memmap` over the
-    file, so bins are paged in only when an evaluation actually touches them.
-    """
-    with open(path, "rb") as handle:
-        num_hosts = read_header(handle, _SHARD_MAGIC, version=POPULATION_FORMAT_VERSION)
-        profiles: Dict[int, HostProfile] = {}
-        host_ids: List[int] = []
-        for _ in range(num_hosts):
-            host_id, role_index, is_laptop, master_intensity = _HOST_STRUCT.unpack(
-                _read_exact(handle, _HOST_STRUCT.size)
-            )
-            (num_intensities,) = struct.unpack("<B", _read_exact(handle, 1))
-            intensities: Dict[Feature, FeatureIntensity] = {}
-            for _ in range(num_intensities):
-                (feature_index,) = struct.unpack("<B", _read_exact(handle, 1))
-                scale, body_sigma, burst_probability, burst_alpha = _INTENSITY_STRUCT.unpack(
-                    _read_exact(handle, _INTENSITY_STRUCT.size)
-                )
-                intensities[_feature_at(feature_index)] = FeatureIntensity(
+
+class _ProfileTable:
+    """A shard's decoded profile section; row ``i`` builds host ``i``'s profile."""
+
+    def __init__(self, hosts: np.ndarray, intensities: np.ndarray, bounds: np.ndarray) -> None:
+        self._hosts = hosts
+        self._intensities = intensities
+        #: Host ``i``'s intensities are ``intensities[bounds[i]:bounds[i + 1]]``.
+        self._bounds = bounds
+
+    def __getitem__(self, row: int) -> HostProfile:
+        host_id, role, is_laptop, master_intensity, _ = self._hosts[row].tolist()
+        records = self._intensities[self._bounds[row] : self._bounds[row + 1]].tolist()
+        return HostProfile(
+            host_id=host_id,
+            role=_ROLE_ORDER[role],
+            master_intensity=master_intensity,
+            intensities={
+                _FEATURE_ORDER[feature]: FeatureIntensity(
                     scale=scale,
                     body_sigma=body_sigma,
                     burst_probability=burst_probability,
                     burst_alpha=burst_alpha,
                 )
-            profiles[host_id] = HostProfile(
-                host_id=host_id,
-                role=_role_at(role_index),
-                master_intensity=master_intensity,
-                intensities=intensities,
-                is_laptop=bool(is_laptop),
-            )
-            host_ids.append(host_id)
-        num_bins, bin_width, origin = _MATRIX_STRUCT.unpack(
-            _read_exact(handle, _MATRIX_STRUCT.size)
+                for feature, scale, body_sigma, burst_probability, burst_alpha in records
+            },
+            is_laptop=bool(is_laptop),
         )
-        bin_spec = BinSpec(width=bin_width, origin=origin)
-        (num_features,) = struct.unpack("<B", _read_exact(handle, 1))
-        features = tuple(
-            _feature_at(struct.unpack("<B", _read_exact(handle, 1))[0])
-            for _ in range(num_features)
-        )
-        position = handle.tell()
-        values_offset = position + ((-position) % 8)
-
-    shape = (num_hosts, num_features, num_bins)
-    if use_mmap:
-        block = np.memmap(path, dtype="<f8", mode="r", offset=values_offset, shape=shape)
-    else:
-        with open(path, "rb") as handle:
-            handle.seek(values_offset)
-            buffer = _read_exact(handle, num_hosts * num_features * num_bins * 8)
-        block = np.frombuffer(buffer, dtype="<f8").reshape(shape)
-
-    matrices: Dict[int, FeatureMatrix] = {}
-    for row, host_id in enumerate(host_ids):
-        series: Dict[Feature, TimeSeries] = {}
-        for column, feature in enumerate(features):
-            # The block was validated (non-negative, one-dimensional) when the
-            # shard was written and is integrity-checked via its manifest
-            # hash, so wrap rows without re-validating: np.all(...) on a
-            # memmap would page the whole shard in and defeat the zero-copy
-            # load.
-            series[feature] = TimeSeries._wrap(block[row, column], bin_spec)
-        matrices[host_id] = FeatureMatrix(host_id=host_id, series=series)
-    return profiles, matrices
 
 
-def _entry_nbytes(entry: Tuple[Dict[int, "HostProfile"], Dict[int, FeatureMatrix]]) -> int:
-    """Float64-bin footprint of one resident shard entry, in bytes.
+class _ResidentShard:
+    """One resident shard: a ``(hosts, features, bins)`` block plus profiles.
 
-    Counts the feature-matrix payload only (profiles are negligible next to
-    ``hosts x features x bins`` of float64), matching what the ``.rpsh``
-    block on disk holds and what an eviction actually releases.
+    Per-host :class:`FeatureMatrix` and :class:`HostProfile` views are built
+    on first access and cached, so a shard read for a handful of sampled
+    hosts never builds objects for the rest.
     """
-    _, matrices = entry
-    if not matrices:
-        return 0
-    reference = next(iter(matrices.values()))
-    return len(matrices) * len(reference.features) * reference.num_bins * 8
+
+    def __init__(
+        self,
+        host_ids: range,
+        block: np.ndarray,
+        features: Tuple[Feature, ...],
+        bin_spec: BinSpec,
+        profiles: Sequence[HostProfile],
+    ) -> None:
+        self.host_ids = host_ids
+        self.block = block
+        self.bin_spec = bin_spec
+        self._columns = {feature: column for column, feature in enumerate(features)}
+        self._profile_rows = profiles
+        self._profiles: Dict[int, HostProfile] = {}
+        self._matrices: Dict[int, FeatureMatrix] = {}
+
+    @classmethod
+    def stack(
+        cls,
+        host_ids: range,
+        profiles: Mapping[int, HostProfile],
+        matrices: Mapping[int, FeatureMatrix],
+    ) -> "_ResidentShard":
+        """Stack freshly generated hosts into one block (a copy of the bins)."""
+        reference = matrices[host_ids[0]]
+        features = reference.features
+        block = np.empty((len(host_ids), len(features), reference.num_bins))
+        for row, host_id in enumerate(host_ids):
+            matrix = matrices[host_id]
+            require(
+                matrix.features == features and matrix.num_bins == reference.num_bins,
+                "sharded populations require a uniform feature set and bin grid",
+            )
+            for column, feature in enumerate(features):
+                block[row, column] = matrix.series(feature).values
+        block.flags.writeable = False
+        return cls(
+            host_ids,
+            block,
+            features,
+            reference.series(features[0]).bin_spec,
+            [profiles[host_id] for host_id in host_ids],
+        )
+
+    def column(self, feature: Feature) -> np.ndarray:
+        """Every host's bins of ``feature`` as a ``(hosts, bins)`` view."""
+        return self.block[:, self._columns[feature]]
+
+    def profile(self, host_id: int) -> HostProfile:
+        profile = self._profiles.get(host_id)
+        if profile is None:
+            profile = self._profile_rows[host_id - self.host_ids.start]
+            self._profiles[host_id] = profile
+        return profile
+
+    def matrix(self, host_id: int) -> FeatureMatrix:
+        matrix = self._matrices.get(host_id)
+        if matrix is None:
+            values = self.block[host_id - self.host_ids.start]
+            # The loader checked the block's shape; its bins were validated
+            # (non-negative) when the shard was generated, so the rows are
+            # wrapped without re-scanning them.
+            matrix = FeatureMatrix(
+                host_id=host_id,
+                series={
+                    feature: TimeSeries._wrap(values[column], self.bin_spec)
+                    for feature, column in self._columns.items()
+                },
+            )
+            self._matrices[host_id] = matrix
+        return matrix
+
+    def matrices(self) -> Dict[int, FeatureMatrix]:
+        return {host_id: self.matrix(host_id) for host_id in self.host_ids}
+
+    def profiles(self) -> Dict[int, HostProfile]:
+        return {host_id: self.profile(host_id) for host_id in self.host_ids}
+
+
+def _read_shard(path: Path, host_ids: range, use_mmap: bool = True) -> _ResidentShard:
+    """Load a shard written by :func:`_write_shard` holding ``host_ids``.
+
+    With ``use_mmap`` (the default) the file is mapped once and the value
+    block is a view of the mapping, so bins are paged in only when an
+    evaluation touches them; otherwise the file is read into memory.  The
+    whole profile section is decoded and checked here with numpy — known
+    role and feature indices, the :class:`HostProfile` and
+    :class:`FeatureIntensity` invariants, the expected host ids and a file
+    size that matches the layout — so a corrupt shard raises
+    :class:`ValidationError` at load.  Loads do not hash the file: the
+    manifest's SHA-256 is checked only by
+    :meth:`ShardedPopulation.verify_shard`.
+    """
+    with open(path, "rb") as handle:
+        require(os.fstat(handle.fileno()).st_size >= _HEADER_SIZE, f"{path.name}: truncated")
+        data = (
+            mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) if use_mmap else handle.read()
+        )
+    size = len(data)
+    num_hosts = read_header(
+        io.BytesIO(data[:_HEADER_SIZE]), _SHARD_MAGIC, version=POPULATION_FORMAT_VERSION
+    )
+    require(num_hosts == len(host_ids), f"{path.name}: expected {len(host_ids)} hosts")
+
+    # Walk the variable-length host records (a host record, then that many
+    # intensity records) to find where each host starts.
+    starts = np.empty(num_hosts, dtype=np.int64)
+    position = _HEADER_SIZE
+    for row in range(num_hosts):
+        require(position + _HOST_RECORD.itemsize <= size, f"{path.name}: truncated profiles")
+        starts[row] = position
+        count = data[position + _HOST_STRUCT.size]
+        position += _HOST_RECORD.itemsize + count * _INTENSITY_RECORD.itemsize
+    require(position + _MATRIX_STRUCT.size + 1 <= size, f"{path.name}: truncated profiles")
+
+    raw = np.frombuffer(data, dtype=np.uint8)
+    hosts = _gather(raw, starts, _HOST_RECORD)
+    counts = hosts["num_intensities"].astype(np.int64)
+    bounds = np.zeros(num_hosts + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    within_host = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
+    intensities = _gather(
+        raw,
+        np.repeat(starts + _HOST_RECORD.itemsize, counts)
+        + within_host * _INTENSITY_RECORD.itemsize,
+        _INTENSITY_RECORD,
+    )
+    # The HostProfile / FeatureIntensity invariants, checked for every host
+    # now so a corrupt shard never loads.  NaN fails every comparison.
+    read_ids = hosts["host_id"]
+    owners = np.repeat(read_ids, counts)
+    burst_probability = intensities["burst_probability"]
+    checks = (
+        (read_ids, read_ids == np.asarray(host_ids), "unexpected host id"),
+        (read_ids, hosts["role"] < len(_ROLE_ORDER), "unknown role index"),
+        (read_ids, hosts["master_intensity"] > 0, "master_intensity must be positive"),
+        (read_ids, counts > 0, "no feature intensities"),
+        (owners, intensities["feature"] < len(_FEATURE_ORDER), "unknown feature index"),
+        (owners, intensities["scale"] > 0, "scale must be positive"),
+        (owners, intensities["body_sigma"] > 0, "body_sigma must be positive"),
+        (owners, intensities["burst_alpha"] > 0, "burst_alpha must be positive"),
+        (
+            owners,
+            (burst_probability >= 0.0) & (burst_probability <= 0.2),
+            "burst_probability must be in [0, 0.2]",
+        ),
+    )
+    for owner_ids, valid, message in checks:
+        if not np.all(valid):
+            host_id = int(owner_ids[np.argmin(valid)])
+            raise ValidationError(f"{path.name}: host {host_id}: {message}")
+
+    num_bins, bin_width, origin = _MATRIX_STRUCT.unpack_from(data, position)
+    bin_spec = BinSpec(width=bin_width, origin=origin)
+    position += _MATRIX_STRUCT.size
+    num_features = data[position]
+    features = tuple(
+        _feature_at(index) for index in data[position + 1 : position + 1 + num_features]
+    )
+    require(
+        num_features > 0 and len(set(features)) == num_features,
+        f"{path.name}: the value block needs distinct features",
+    )
+    position += 1 + num_features
+    values_offset = position + ((-position) % 8)
+    shape = (num_hosts, num_features, num_bins)
+    num_values = num_hosts * num_features * num_bins
+    require(
+        size == values_offset + 8 * num_values,
+        f"{path.name}: file size {size} does not match its layout (truncated?)",
+    )
+    block = np.frombuffer(data, dtype="<f8", count=num_values, offset=values_offset)
+    return _ResidentShard(
+        host_ids,
+        block.reshape(shape),
+        features,
+        bin_spec,
+        _ProfileTable(hosts, intensities, bounds),
+    )
+
+
+def _gather(raw: np.ndarray, offsets: np.ndarray, record: np.dtype) -> np.ndarray:
+    """The fixed-size records starting at byte ``offsets`` of ``raw``."""
+    index = offsets[:, np.newaxis] + np.arange(record.itemsize)
+    return raw[index].view(record).reshape(len(offsets))
 
 
 def _shard_file_name(index: int) -> str:
@@ -354,8 +522,8 @@ class ShardedPopulation:
         self._max_resident = max_resident_shards
         self._use_mmap = use_mmap
         self._roles: Mapping[int, UserRole] = dict(roles) if roles else {}
-        #: shard index -> (profiles, matrices); insertion order is LRU order.
-        self._resident: Dict[int, Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]] = {}
+        #: shard index -> resident shard; insertion order is LRU order.
+        self._resident: Dict[int, _ResidentShard] = {}
         self._random_source: Optional[RandomSource] = None
         self._events = None
 
@@ -470,50 +638,50 @@ class ShardedPopulation:
         first = index * self._hosts_per_shard
         return range(first, min(first + self._hosts_per_shard, self._num_hosts))
 
-    def _shard(
-        self, index: int
-    ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
+    def _shard(self, index: int) -> _ResidentShard:
         if index in self._resident:
             # Refresh LRU position.
-            entry = self._resident.pop(index)
-            self._resident[index] = entry
-            return entry
-        entry = self._load_or_generate_shard(index)
-        self._resident[index] = entry
+            shard = self._resident.pop(index)
+            self._resident[index] = shard
+            return shard
+        shard = self._load_or_generate_shard(index)
+        self._resident[index] = shard
         add_count("engine.shards_loaded")
         while len(self._resident) > self._max_resident:
             self._resident.pop(next(iter(self._resident)))
         # Residency only changes on this path (load + possible eviction), so
         # the LRU-refresh fast path above stays gauge-free.
         self._update_residency_gauges()
-        return entry
+        return shard
 
     def _update_residency_gauges(self) -> None:
-        """Publish the LRU's current footprint as resource gauges."""
+        """Publish the LRU's current footprint as resource gauges.
+
+        The byte gauge counts the resident value blocks — what the ``.rpsh``
+        files hold and what an eviction releases; profiles are negligible.
+        """
         set_gauge("engine.shards_resident", float(len(self._resident)))
         set_gauge(
             "engine.shard_bytes_resident",
-            float(sum(_entry_nbytes(entry) for entry in self._resident.values())),
+            float(sum(shard.block.nbytes for shard in self._resident.values())),
         )
 
-    def _load_or_generate_shard(
-        self, index: int
-    ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
+    def _load_or_generate_shard(self, index: int) -> _ResidentShard:
         record = self._manifest["shards"][index]
         if self._directory is not None and record is not None:
             path = self._directory / record["file"]
             if path.is_file():
                 with trace_span("engine.shard.load", shard=index):
                     try:
-                        return _read_shard(path, use_mmap=self._use_mmap)
-                    except (ValidationError, OSError, ValueError, KeyError):
+                        return _read_shard(
+                            path, self._shard_host_range(index), use_mmap=self._use_mmap
+                        )
+                    except (ValidationError, OSError, ValueError):
                         # A corrupt shard is regenerated (and rewritten) below.
                         pass
         return self._generate_shard(index)
 
-    def _generate_shard(
-        self, index: int
-    ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
+    def _generate_shard(self, index: int) -> _ResidentShard:
         host_range = self._shard_host_range(index)
         with trace_span("engine.shard.generate", shard=index, num_hosts=len(host_range)):
             if self._random_source is None:
@@ -534,17 +702,17 @@ class ShardedPopulation:
             add_count("engine.hosts_generated", len(host_range))
         if self._directory is not None:
             self._persist_shard(index, list(host_range), profiles, matrices)
-            # Re-open through the mmap path so the resident copy is the
-            # zero-copy view, not the generation-sized arrays.
+            # Re-open through the loader so the resident copy is the mapped
+            # block, not the generation-sized arrays.
             record = self._manifest["shards"][index]
             if record is not None:
                 try:
                     return _read_shard(
-                        self._directory / record["file"], use_mmap=self._use_mmap
+                        self._directory / record["file"], host_range, use_mmap=self._use_mmap
                     )
-                except (ValidationError, OSError, ValueError, KeyError):
+                except (ValidationError, OSError, ValueError):
                     pass
-        return profiles, matrices
+        return _ResidentShard.stack(host_range, profiles, matrices)
 
     def _persist_shard(
         self,
@@ -588,25 +756,22 @@ class ShardedPopulation:
     # ------------------------------------------------------------- accessors
     def profile(self, host_id: int) -> HostProfile:
         """Profile of ``host_id``."""
-        profiles, _ = self._shard(self.shard_of(host_id))
-        return profiles[host_id]
+        return self._shard(self.shard_of(host_id)).profile(host_id)
 
     def matrix(self, host_id: int) -> FeatureMatrix:
         """Feature matrix of ``host_id``."""
-        _, matrices = self._shard(self.shard_of(host_id))
-        return matrices[host_id]
+        return self._shard(self.shard_of(host_id)).matrix(host_id)
 
     def matrices(self) -> Dict[int, FeatureMatrix]:
         """All feature matrices keyed by host id.
 
-        This materialises every shard's matrix mapping at once (the arrays
-        themselves stay mmap-backed) — fine at experiment scale, but
+        This builds a matrix for every host at once (the arrays themselves
+        stay views of the shard blocks) — fine at experiment scale, but
         million-host callers should iterate :meth:`iter_shards` or sample
         instead.
         """
         combined: Dict[int, FeatureMatrix] = {}
-        for index in range(self.num_shards):
-            _, matrices = self._shard(index)
+        for _, matrices in self.iter_shards():
             combined.update(matrices)
         return combined
 
@@ -614,39 +779,43 @@ class ShardedPopulation:
         """Feature matrices for ``host_ids`` only (shards resolved in order).
 
         The sampled-evaluation entry point: grouping the requested hosts by
-        shard keeps residency bounded however large the population is.
+        shard keeps residency bounded however large the population is, and
+        only the requested hosts get matrix objects.
         """
         by_shard: Dict[int, List[int]] = {}
         for host_id in host_ids:
             by_shard.setdefault(self.shard_of(host_id), []).append(host_id)
         combined: Dict[int, FeatureMatrix] = {}
         for index in sorted(by_shard):
-            _, matrices = self._shard(index)
+            shard = self._shard(index)
             for host_id in by_shard[index]:
-                combined[host_id] = matrices[host_id]
+                combined[host_id] = shard.matrix(host_id)
         return combined
 
     def iter_shards(self) -> Iterator[Tuple[range, Dict[int, FeatureMatrix]]]:
         """Iterate ``(host_range, matrices)`` shard by shard."""
         for index in range(self.num_shards):
-            _, matrices = self._shard(index)
-            yield self._shard_host_range(index), matrices
+            shard = self._shard(index)
+            yield shard.host_ids, shard.matrices()
 
     # ------------------------------------------------------------ aggregates
+    def _feature_rows(self, feature: Feature) -> Iterator[Tuple[int, np.ndarray, float]]:
+        """``(host_id, bins, bin_width)`` of ``feature`` for every host, shard by shard."""
+        for index in range(self.num_shards):
+            shard = self._shard(index)
+            column = shard.column(feature)
+            for host_id, values in zip(shard.host_ids, column, strict=True):
+                yield host_id, values, shard.bin_spec.width
+
     def feature_values(self, feature: Feature) -> Dict[int, np.ndarray]:
         """Per-host per-bin values of ``feature``."""
-        return {
-            host_id: matrix.series(feature).values
-            for _, matrices in self.iter_shards()
-            for host_id, matrix in matrices.items()
-        }
+        return {host_id: values for host_id, values, _ in self._feature_rows(feature)}
 
     def distributions(self, feature: Feature) -> Dict[int, EmpiricalDistribution]:
         """Per-host empirical distribution of ``feature``."""
         return {
-            host_id: matrix.series(feature).distribution()
-            for _, matrices in self.iter_shards()
-            for host_id, matrix in matrices.items()
+            host_id: EmpiricalDistribution(values, bin_width=width)
+            for host_id, values, width in self._feature_rows(feature)
         }
 
     def pooled_distribution(self, feature: Feature) -> EmpiricalDistribution:
@@ -656,17 +825,14 @@ class ShardedPopulation:
     def per_host_percentiles(self, feature: Feature, q: float) -> Dict[int, float]:
         """Per-host ``q``-th percentile of ``feature``."""
         return {
-            host_id: matrix.series(feature).percentile(q)
-            for _, matrices in self.iter_shards()
-            for host_id, matrix in matrices.items()
+            host_id: EmpiricalDistribution(values, bin_width=width).percentile(q)
+            for host_id, values, width in self._feature_rows(feature)
         }
 
     def max_observed(self, feature: Feature) -> float:
         """Maximum per-bin value of ``feature`` across all hosts."""
         return max(
-            matrix.series(feature).max()
-            for _, matrices in self.iter_shards()
-            for matrix in matrices.values()
+            float(np.max(self._shard(index).column(feature))) for index in range(self.num_shards)
         )
 
     def materialize(self) -> EnterprisePopulation:
@@ -674,9 +840,9 @@ class ShardedPopulation:
         profiles: Dict[int, HostProfile] = {}
         matrices: Dict[int, FeatureMatrix] = {}
         for index in range(self.num_shards):
-            shard_profiles, shard_matrices = self._shard(index)
-            profiles.update(shard_profiles)
-            matrices.update(shard_matrices)
+            shard = self._shard(index)
+            profiles.update(shard.profiles())
+            matrices.update(shard.matrices())
         return EnterprisePopulation(config=self._config, profiles=profiles, matrices=matrices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -581,6 +581,11 @@ class TestCheckScaleout:
         errors = check_scaleout.check_outcome(outcome, sample=8, budget_mb=1e6)
         assert any("does not bracket" in error for error in errors)
 
+    def test_undetected_attack_fails(self):
+        outcome = self._outcome(mean_false_negative_rate=0.99, mean_detection_rate=0.01)
+        errors = check_scaleout.check_outcome(outcome, sample=8, budget_mb=1e6)
+        assert any("false-negative rate" in error for error in errors)
+
     def test_blown_rss_budget_fails(self):
         errors = check_scaleout.check_outcome(self._outcome(), sample=8, budget_mb=0.001)
         assert any("peak RSS" in error for error in errors)

@@ -11,6 +11,9 @@ cached layout rather than silently reading stale bytes.
 from __future__ import annotations
 
 import json
+import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +21,14 @@ import pytest
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.policies import PartialDiversityPolicy
 from repro.engine import PopulationEngine, population_cache_key
+from repro.engine import sharded as sharded_module
 from repro.engine.cache import PopulationCache
+from repro.engine.serialization import _HOST_STRUCT, _INTENSITY_STRUCT
 from repro.engine.sharded import (
     DEFAULT_HOSTS_PER_SHARD,
     ShardedPopulation,
+    _read_shard,
+    _write_shard,
     read_manifest,
     write_population_sharded,
 )
@@ -62,6 +69,40 @@ def _evaluation_payload(evaluation):
 @pytest.fixture(scope="module")
 def monolithic():
     return generate_enterprise(CONFIG)
+
+
+# Byte offsets into a shard file: a 10-byte header, then host 0's record
+# (``_HOST_STRUCT``: id, role, laptop flag, master intensity), its intensity
+# count, and its first intensity record (feature index, then
+# ``_INTENSITY_STRUCT``: scale, body_sigma, burst_probability, burst_alpha).
+_HOST0 = 10
+_ROLE = _HOST0 + 4
+_COUNT = _HOST0 + _HOST_STRUCT.size
+_INTENSITY0 = _COUNT + 1
+_SCALE = _INTENSITY0 + 1
+_BURST_PROBABILITY = _SCALE + 16
+assert _INTENSITY0 + 1 + _INTENSITY_STRUCT.size == _BURST_PROBABILITY + 16
+
+
+def _patch(offset, replacement):
+    return lambda blob: blob[:offset] + replacement + blob[offset + len(replacement) :]
+
+
+#: Ways to corrupt a shard file, each of which the loader must reject.
+CORRUPTIONS = {
+    "bad-magic": _patch(0, b"garbage"),
+    "unknown-role": _patch(_ROLE, b"\xff"),
+    "unknown-feature": _patch(_INTENSITY0, b"\xff"),
+    "zero-scale": _patch(_SCALE, struct.pack("<d", 0.0)),
+    "negative-scale": _patch(_SCALE, struct.pack("<d", -1.5)),
+    "nan-scale": _patch(_SCALE, struct.pack("<d", math.nan)),
+    "burst-probability-0.3": _patch(_BURST_PROBABILITY, struct.pack("<d", 0.3)),
+    "zero-intensities": _patch(_COUNT, b"\x00"),
+    "empty": lambda blob: b"",
+    "truncated-in-header": lambda blob: blob[:6],
+    "truncated-in-profiles": lambda blob: blob[: _INTENSITY0 + 200],
+    "truncated-in-values": lambda blob: blob[:-8],
+}
 
 
 class TestShardedEqualsMonolithic:
@@ -126,15 +167,128 @@ class TestShardedEqualsMonolithic:
         sharded = ShardedPopulation.open(directory)
         assert all(sharded.verify_shard(index) for index in range(sharded.num_shards))
 
-    def test_corrupt_shard_is_regenerated_identically(self, monolithic, tmp_path):
+    @pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+    def test_corrupt_shard_is_regenerated_identically(self, monolithic, tmp_path, corrupt):
         directory = write_population_sharded(
             tmp_path / "pop.rpopd", monolithic, hosts_per_shard=16
         )
         shard_file = directory / "shard-00000.rpsh"
-        shard_file.write_bytes(b"garbage" + shard_file.read_bytes()[7:])
+        original = shard_file.read_bytes()
+        shard_file.write_bytes(corrupt(original))
+        for use_mmap in (True, False):
+            with pytest.raises(ValidationError):
+                _read_shard(shard_file, range(16), use_mmap=use_mmap)
         sharded = ShardedPopulation.open(directory)
         assert not sharded.verify_shard(0)
         assert_matches_monolithic(sharded, monolithic)
+        # Regeneration rewrote the shard byte for byte, so its manifest hash
+        # verifies again.
+        assert shard_file.read_bytes() == original
+        assert sharded.verify_shard(0)
+
+
+    def test_well_formed_shard_with_an_empty_profile_is_rejected(self, monolithic, tmp_path):
+        # Byte-consistent layout (written by the writer), but host 2 has no
+        # feature intensities, which no HostProfile may have.
+        profiles = {host_id: monolithic.profile(host_id) for host_id in range(8)}
+        emptied = profiles[2]
+        profiles[2] = SimpleNamespace(
+            role=emptied.role,
+            is_laptop=emptied.is_laptop,
+            master_intensity=emptied.master_intensity,
+            intensities={},
+        )
+        path = tmp_path / "shard-00000.rpsh"
+        _write_shard(path, list(range(8)), profiles, monolithic.matrices())
+        with pytest.raises(ValidationError, match="host 2: no feature intensities"):
+            _read_shard(path, range(8))
+
+
+class TestResidentShard:
+    def test_matrices_for_builds_views_for_requested_hosts_only(
+        self, monolithic, tmp_path, monkeypatch
+    ):
+        directory = write_population_sharded(
+            tmp_path / "pop.rpopd", monolithic, hosts_per_shard=16
+        )
+        sharded = ShardedPopulation.open(directory)
+        built_matrices, built_profiles = [], []
+
+        class CountingMatrix(sharded_module.FeatureMatrix):
+            def __init__(self, host_id, series):
+                built_matrices.append(host_id)
+                super().__init__(host_id, series)
+
+        class CountingProfile(sharded_module.HostProfile):
+            def __post_init__(self):
+                built_profiles.append(self.host_id)
+                super().__post_init__()
+
+        monkeypatch.setattr(sharded_module, "FeatureMatrix", CountingMatrix)
+        monkeypatch.setattr(sharded_module, "HostProfile", CountingProfile)
+        chosen = [3, 1, 20, 29]
+        subset = sharded.matrices_for(chosen)
+        assert sorted(subset) == sorted(chosen)
+        assert sorted(built_matrices) == sorted(chosen)
+        assert built_profiles == []
+        # A second request for the same hosts reuses the cached views.
+        assert sharded.matrices_for(chosen) == subset
+        assert sorted(built_matrices) == sorted(chosen)
+        sharded.profile(20)
+        assert built_profiles == [20]
+
+    def test_reopened_profiles_equal_generated_field_by_field(self, monolithic, tmp_path):
+        directory = write_population_sharded(
+            tmp_path / "pop.rpopd", monolithic, hosts_per_shard=8
+        )
+        reopened = ShardedPopulation.open(directory)
+        for host_id in monolithic.host_ids:
+            loaded, generated = reopened.profile(host_id), monolithic.profile(host_id)
+            assert loaded.host_id == generated.host_id == host_id
+            assert loaded.role is generated.role
+            assert loaded.is_laptop is generated.is_laptop
+            assert type(loaded.master_intensity) is float
+            assert loaded.master_intensity.hex() == generated.master_intensity.hex()
+            assert list(loaded.intensities) == list(generated.intensities)
+            for feature, intensity in generated.intensities.items():
+                decoded = loaded.intensities[feature]
+                for field in ("scale", "body_sigma", "burst_probability", "burst_alpha"):
+                    value = getattr(decoded, field)
+                    assert type(value) is float
+                    assert value.hex() == getattr(intensity, field).hex(), (host_id, field)
+
+    def test_mapped_values_are_plain_read_only_arrays(self, monolithic, tmp_path):
+        directory = write_population_sharded(
+            tmp_path / "pop.rpopd", monolithic, hosts_per_shard=8
+        )
+        for use_mmap in (True, False):
+            values = (
+                ShardedPopulation.open(directory, use_mmap=use_mmap)
+                .matrix(9)
+                .series(Feature.TCP_CONNECTIONS)
+                .values
+            )
+            assert type(values) is np.ndarray
+            assert not values.flags.writeable
+
+    @pytest.mark.parametrize("backed", [True, False], ids=["directory", "in-memory"])
+    def test_aggregates_match_monolithic(self, monolithic, tmp_path, backed):
+        sharded = ShardedPopulation.generate(
+            CONFIG, directory=tmp_path / "pop.rpopd" if backed else None, hosts_per_shard=8
+        )
+        feature = Feature.UDP_CONNECTIONS
+        assert sharded.per_host_percentiles(feature, 99) == monolithic.per_host_percentiles(
+            feature, 99
+        )
+        assert sharded.max_observed(feature) == monolithic.max_observed(feature)
+        left, right = sharded.feature_values(feature), monolithic.feature_values(feature)
+        assert sorted(left) == sorted(right)
+        for host_id in right:
+            np.testing.assert_array_equal(left[host_id], right[host_id])
+        pooled = sharded.pooled_distribution(feature)
+        assert pooled.percentile(99) == monolithic.pooled_distribution(feature).percentile(99)
+        materialized = sharded.materialize()
+        assert_matches_monolithic(sharded, materialized)
 
 
 class TestMmapBitIdentity:

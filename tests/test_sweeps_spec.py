@@ -113,14 +113,6 @@ class TestExpansionProperties:
     def test_toml_round_trip_is_exact(self, sweep):
         assert SweepSpec.from_toml(sweep.to_toml()) == sweep
 
-    @settings(max_examples=60, deadline=None)
-    @given(sweep_specs())
-    def test_fallback_toml_parser_matches_stdlib(self, sweep):
-        if not toml_io.stdlib_parser_available():  # pragma: no cover
-            pytest.skip("stdlib tomllib unavailable")
-        text = sweep.to_toml()
-        assert toml_io.mini_loads(text) == toml_io.loads(text)
-
 
 class TestExpansionSemantics:
     def test_zip_mode_pairs_axes(self):
@@ -656,20 +648,6 @@ class TestBuiltinCatalog:
         with pytest.raises(ValidationError, match="unknown built-in sweep"):
             load_builtin("no-such-sweep")
 
-    def test_packaged_files_parse_identically_with_fallback_parser(self):
-        if not toml_io.stdlib_parser_available():  # pragma: no cover
-            pytest.skip("stdlib tomllib unavailable")
-        from importlib import resources
-
-        root = resources.files("repro.sweeps") / "library"
-        checked = 0
-        for entry in root.iterdir():
-            if entry.name.endswith(".toml"):
-                text = entry.read_text(encoding="utf-8")
-                assert toml_io.mini_loads(text) == toml_io.loads(text), entry.name
-                checked += 1
-        assert checked >= 4
-
 
 class TestTomlIO:
     def test_writer_quotes_dotted_keys(self):
@@ -677,22 +655,10 @@ class TestTomlIO:
         assert '"policy.kind"' in text
         assert toml_io.loads(text) == {"axes": {"policy.kind": ["a"]}}
 
-    def test_mini_parser_rejects_garbage(self):
+    def test_loads_rejects_garbage_as_validation_error(self):
         for bad in ["just text", "[unclosed", 'key = "unterminated', "a = [1, 2"]:
-            with pytest.raises(ValidationError):
-                toml_io.mini_loads(bad)
-
-    def test_mini_parser_handles_comments_and_multiline_arrays(self):
-        text = '# header\nvalues = [1,  # inline\n  2, 3]\nname = "a#b"  # trailing\n'
-        assert toml_io.mini_loads(text) == {"values": [1, 2, 3], "name": "a#b"}
-
-    def test_mini_parser_resolves_dotted_keys_relative_to_section(self):
-        # TOML semantics: dotted keys nest under the current [section].
-        text = "[scenario]\npopulation.num_hosts = 50\n"
-        expected = {"scenario": {"population": {"num_hosts": 50}}}
-        assert toml_io.mini_loads(text) == expected
-        if toml_io.stdlib_parser_available():
-            assert toml_io.loads(text) == expected
+            with pytest.raises(ValidationError, match="invalid TOML"):
+                toml_io.loads(bad)
 
     def test_floats_survive_as_floats(self):
         data = {"x": {"a": 1.0, "b": 2, "c": [0.5, 1e-12]}}
