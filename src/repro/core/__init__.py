@@ -46,7 +46,9 @@ from repro.core.metrics import (
 )
 from repro.core.evaluation import (
     DetectionProtocol,
+    DetectorColumns,
     HostPerformance,
+    HostPerformances,
     PolicyEvaluation,
     detection_training_distributions,
     detection_training_window_distributions,
@@ -84,6 +86,8 @@ __all__ = [
     "DetectionAssignment",
     "DetectionProtocol",
     "HostPerformance",
+    "HostPerformances",
+    "DetectorColumns",
     "PolicyEvaluation",
     "evaluate_policy",
     "measure_assignment",

@@ -14,33 +14,40 @@ The evaluation API is built around feature *sets*: a
 indicators, and :func:`evaluate_policy` measures both the per-feature
 operating points and the fused per-host (FP, FN)/utility.
 
-Measurement has one path: the population is scored as whole
-``(num_hosts, num_bins)`` array operations per feature — threshold
-exceedance, attack overlay and fusion votes — so every host must share one
-bin grid (every generated population does; a mixed grid raises
-:class:`~repro.utils.validation.ValidationError`).  Attacks have one form, a
-:data:`~repro.attacks.base.BatchAttackFn`: it receives the victims as a
-:class:`~repro.attacks.base.VictimBatch` and returns per-feature
-``(num_hosts, num_bins)`` injected amounts.  ``tests/data/golden_measurement.json``
-pins the outputs bit for bit against the per-host loop this path replaced.
+Every stage is columnar.  Training builds one row-sorted ``(hosts, bins)``
+:class:`~repro.stats.empirical.DistributionBlock` per feature, so the
+assign stage's per-host percentiles are one vectorised pass.  Measurement
+has one path: the population is scored as whole ``(num_hosts, num_bins)``
+array operations per feature — threshold exceedance, attack overlay and
+fusion votes — so every host must share one bin grid (every generated
+population does; a mixed grid raises
+:class:`~repro.utils.validation.ValidationError`).  The result,
+:class:`HostPerformances`, keeps per-host arrays; population aggregates read
+them, and a :class:`HostPerformance` is built only for a host looked up.
+
+Attacks have one form, a :data:`~repro.attacks.base.BatchAttackFn`: it
+receives the victims as a :class:`~repro.attacks.base.VictimBatch` and
+returns per-feature ``(num_hosts, num_bins)`` injected amounts.
+``tests/data/golden_measurement.json`` pins the outputs bit for bit against
+the per-host loop this path replaced.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attacks.base import BatchAttackFn, VictimBatch
 from repro.core.fusion import FusionRule
-from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint
+from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint, utility_array
 from repro.core.policies import ConfigurationPolicy, DetectionAssignment
 from repro.core.thresholds import DEFAULT_PERCENTILE
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries, require_shared_bin_grid
-from repro.stats.empirical import EmpiricalDistribution
+from repro.stats.empirical import DistributionBlock, EmpiricalDistribution
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.telemetry import add_count, trace_span
 from repro.utils.timeutils import WEEK
@@ -230,13 +237,151 @@ class HostPerformance:
 
 
 @dataclass(frozen=True)
+class DetectorColumns:
+    """One detector's test-week outcome for every measured host, as arrays.
+
+    The detector is one feature's threshold test or the fused alarm; entry
+    ``i`` of every array belongs to the ``i``-th measured host.
+
+    Attributes
+    ----------
+    false_alarm_counts:
+        Benign test bins raising the alarm.
+    false_negative_rates:
+        Fraction of attacked bins the alarm missed; 0.0 where the host was
+        not attacked.
+    attacked:
+        True where at least one test bin carried attack traffic.
+    num_bins:
+        Test-week bins per host (the false-positive denominator).
+    """
+
+    false_alarm_counts: np.ndarray
+    false_negative_rates: np.ndarray
+    attacked: np.ndarray
+    num_bins: int
+
+    @property
+    def false_positive_rates(self) -> np.ndarray:
+        """Benign-bin alarm rates."""
+        return self.false_alarm_counts / self.num_bins
+
+    def alarm_raised(self, row: int) -> Optional[bool]:
+        """Whether host ``row``'s alarm fired on an attacked bin (None when not attacked)."""
+        if not self.attacked[row]:
+            return None
+        return bool(self.false_negative_rates[row] < 1.0)
+
+    def fraction_raising_alarm(self) -> float:
+        """Fraction of attacked hosts whose alarm fired on at least one attacked bin."""
+        fired = self.false_negative_rates[self.attacked] < 1.0
+        if fired.size == 0:
+            return 0.0
+        return float(np.mean(fired.astype(float)))
+
+
+def _detector_columns(
+    false_alarm_counts: np.ndarray, missed: np.ndarray, attacked_bins: np.ndarray, num_bins: int
+) -> DetectorColumns:
+    attacked = attacked_bins > 0
+    false_negative_rates = np.zeros(attacked.shape)
+    np.divide(missed, attacked_bins, out=false_negative_rates, where=attacked)
+    return DetectorColumns(false_alarm_counts, false_negative_rates, attacked, num_bins)
+
+
+class HostPerformances(Mapping[int, HostPerformance]):
+    """Every measured host's :class:`HostPerformance`, stored as per-host arrays.
+
+    The arrays are the per-feature thresholds, each feature's detector
+    columns (:meth:`feature`) and the fused alarm's (:attr:`fused`);
+    population aggregates read the columns directly.  Looking a host up
+    builds its :class:`HostPerformance` on first access and caches it, so
+    only the hosts a caller asks for ever get per-host objects.
+    """
+
+    def __init__(
+        self,
+        host_ids: Sequence[int],
+        thresholds: Mapping[Feature, np.ndarray],
+        per_feature: Mapping[Feature, DetectorColumns],
+        fused: DetectorColumns,
+    ) -> None:
+        self._host_ids = tuple(host_ids)
+        self._rows = {host_id: row for row, host_id in enumerate(self._host_ids)}
+        self._thresholds = dict(thresholds)
+        self._per_feature = dict(per_feature)
+        self._fused = fused
+        self._built: Dict[int, HostPerformance] = {}
+
+    @property
+    def host_ids(self) -> Tuple[int, ...]:
+        """Measured hosts, in array order."""
+        return self._host_ids
+
+    @property
+    def features(self) -> Tuple[Feature, ...]:
+        """Monitored features."""
+        return tuple(self._per_feature)
+
+    @property
+    def fused(self) -> DetectorColumns:
+        """The fused alarm's columns (a single feature's own for one feature)."""
+        return self._fused
+
+    def feature(self, feature: Feature) -> DetectorColumns:
+        """The columns of ``feature``'s detector."""
+        return self._per_feature[feature]
+
+    def __getitem__(self, host_id: int) -> HostPerformance:
+        performance = self._built.get(host_id)
+        if performance is None:
+            performance = self._build(host_id, self._rows[host_id])
+            self._built[host_id] = performance
+        return performance
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._host_ids)
+
+    def __len__(self) -> int:
+        return len(self._host_ids)
+
+    def __contains__(self, host_id: object) -> bool:
+        return host_id in self._rows
+
+    def _build(self, host_id: int, row: int) -> HostPerformance:
+        def point(columns: DetectorColumns) -> OperatingPoint:
+            return OperatingPoint(
+                false_positive_rate=int(columns.false_alarm_counts[row]) / columns.num_bins,
+                false_negative_rate=float(columns.false_negative_rates[row]),
+            )
+
+        features = self.features
+        return HostPerformance(
+            host_id=host_id,
+            thresholds={f: float(self._thresholds[f][row]) for f in features},
+            feature_operating_points={f: point(self._per_feature[f]) for f in features},
+            feature_false_alarm_counts={
+                f: int(self._per_feature[f].false_alarm_counts[row]) for f in features
+            },
+            operating_point=point(self._fused),
+            false_alarm_count=int(self._fused.false_alarm_counts[row]),
+            alarm_raised=self._fused.alarm_raised(row),
+            feature_alarm_raised={f: self._per_feature[f].alarm_raised(row) for f in features},
+        )
+
+
+@dataclass(frozen=True)
 class PolicyEvaluation:
-    """Population-wide outcome of evaluating one policy on one feature set."""
+    """Population-wide outcome of evaluating one policy on one feature set.
+
+    The aggregates read :attr:`performances`' arrays; none of them builds a
+    per-host :class:`HostPerformance`.
+    """
 
     policy_name: str
     protocol: DetectionProtocol
     assignment: DetectionAssignment
-    performances: Mapping[int, HostPerformance]
+    performances: HostPerformances
 
     def __post_init__(self) -> None:
         require(len(self.performances) > 0, "evaluation must cover at least one host")
@@ -261,37 +406,51 @@ class PolicyEvaluation:
         """
         return self.assignment.optimization
 
+    def _per_host(self, values: np.ndarray) -> Dict[int, float]:
+        return dict(zip(self.performances.host_ids, values.tolist(), strict=True))
+
+    def utility_array(self, weight: Optional[float] = None) -> np.ndarray:
+        """Fused utilities at ``weight`` (defaults to the protocol's), in host order."""
+        w = weight if weight is not None else self.protocol.utility_weight
+        fused = self.performances.fused
+        return utility_array(fused.false_positive_rates, fused.false_negative_rates, w)
+
     def utilities(self, weight: Optional[float] = None) -> Dict[int, float]:
         """Per-host fused utilities at ``weight`` (defaults to the protocol's weight)."""
-        w = weight if weight is not None else self.protocol.utility_weight
-        return {host_id: perf.utility(w) for host_id, perf in self.performances.items()}
+        return self._per_host(self.utility_array(weight))
 
     def mean_utility(self, weight: Optional[float] = None) -> float:
         """Average fused utility across the population (Figure 3(b)'s y-axis)."""
-        values = list(self.utilities(weight).values())
-        return float(np.mean(values))
+        return float(np.mean(self.utility_array(weight)))
 
     def utility_summary(self, weight: Optional[float] = None) -> SummaryStatistics:
         """Boxplot-style summary of per-host utilities (Figure 3(a))."""
-        return summarize(list(self.utilities(weight).values()))
+        return summarize(self.utility_array(weight))
 
     def false_positive_rates(self) -> Dict[int, float]:
         """Per-host fused false-positive rates."""
-        return {host_id: perf.false_positive_rate for host_id, perf in self.performances.items()}
+        return self._per_host(self.performances.fused.false_positive_rates)
 
     def detection_rates(self) -> Dict[int, float]:
         """Per-host fused detection rates (1 - FN)."""
-        return {host_id: perf.detection_rate for host_id, perf in self.performances.items()}
+        return self._per_host(1.0 - self.performances.fused.false_negative_rates)
 
     def feature_operating_points(self, feature: Feature) -> Dict[int, OperatingPoint]:
         """Per-host operating points of one feature's detector."""
+        columns = self.performances.feature(feature)
         return {
-            host_id: perf.feature_point(feature) for host_id, perf in self.performances.items()
+            host_id: OperatingPoint(false_positive_rate=fp, false_negative_rate=fn)
+            for host_id, fp, fn in zip(
+                self.performances.host_ids,
+                columns.false_positive_rates.tolist(),
+                columns.false_negative_rates.tolist(),
+                strict=True,
+            )
         }
 
     def total_false_alarms(self) -> int:
         """Total fused benign alarms across the population on the test week."""
-        return int(sum(perf.false_alarm_count for perf in self.performances.values()))
+        return int(np.sum(self.performances.fused.false_alarm_counts))
 
     def false_alarms_per_week(self) -> float:
         """False alarms normalised to one week (the test window is one week)."""
@@ -304,10 +463,7 @@ class PolicyEvaluation:
         Only meaningful when an attack was overlaid; hosts with no attack are
         excluded from the denominator.
         """
-        flags = [perf.alarm_raised for perf in self.performances.values() if perf.alarm_raised is not None]
-        if not flags:
-            return 0.0
-        return float(np.mean([1.0 if flag else 0.0 for flag in flags]))
+        return self.performances.fused.fraction_raising_alarm()
 
 
 def training_distributions(
@@ -315,7 +471,7 @@ def training_distributions(
     feature: Feature,
     week: int,
     active_bins_only: bool = True,
-) -> Dict[int, EmpiricalDistribution]:
+) -> DistributionBlock:
     """Per-host empirical distributions of ``feature`` over training ``week``.
 
     With ``active_bins_only`` (the default) zero-count bins are excluded from
@@ -323,23 +479,32 @@ def training_distributions(
     host with no active bins at all falls back to its full (all-zero) series
     so that a threshold can still be computed.
 
-    Only the requested feature's series is sliced — a single-feature protocol
+    The result is one row-sorted ``(hosts, bins)``
+    :class:`~repro.stats.empirical.DistributionBlock`; looking a host up
+    returns its :class:`~repro.stats.empirical.EmpiricalDistribution`.  Only
+    the requested feature's series is sliced — a single-feature protocol
     never pays for slicing the five features it does not train on.
     """
-    return {
-        host_id: _training_distribution(matrix.series(feature).week(week), active_bins_only)
-        for host_id, matrix in matrices.items()
-    }
+    return _training_block(
+        matrices, feature, lambda series: series.week(week), active_bins_only
+    )
 
 
-def _training_distribution(series, active_bins_only: bool) -> EmpiricalDistribution:
-    values = np.asarray(series.values)
-    if active_bins_only:
-        active = values[values > 0]
-        values = active if active.size else values
+def _training_block(
+    matrices: Mapping[int, FeatureMatrix],
+    feature: Feature,
+    window: Callable[[TimeSeries], TimeSeries],
+    active_bins_only: bool,
+) -> DistributionBlock:
+    series = [window(matrix.series(feature)) for matrix in matrices.values()]
     # Tag the measurement bin width so grouping never silently pools
     # per-bin counts observed over incompatible windows.
-    return EmpiricalDistribution(values, bin_width=series.bin_width)
+    return DistributionBlock.from_samples(
+        list(matrices),
+        [window_series.values for window_series in series],
+        [window_series.bin_width for window_series in series],
+        active_only=active_bins_only,
+    )
 
 
 def detection_training_distributions(
@@ -347,7 +512,7 @@ def detection_training_distributions(
     features: Iterable[Feature],
     week: int,
     active_bins_only: bool = True,
-) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
+) -> Dict[Feature, DistributionBlock]:
     """:func:`training_distributions` for every feature of a protocol (the train stage)."""
     with trace_span("core.train"):
         return {
@@ -362,7 +527,7 @@ def detection_training_window_distributions(
     start_week: int,
     end_week: int,
     active_bins_only: bool = True,
-) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
+) -> Dict[Feature, DistributionBlock]:
     """Training distributions pooled over the contiguous weeks ``[start, end)``.
 
     The rolling-training-window form of
@@ -370,23 +535,23 @@ def detection_training_window_distributions(
     on the last ``k`` completed weeks rather than a single fixed one.  A
     one-week window is bit-identical to the single-week helper (the slice is
     the same bins).  Out-of-range windows raise :class:`ValueError` via
-    :meth:`~repro.features.timeseries.FeatureMatrix.week_range`.
+    :meth:`~repro.features.timeseries.TimeSeries.week_range`.
     """
-    distributions: Dict[Feature, Dict[int, EmpiricalDistribution]] = {
-        feature: {} for feature in features
-    }
     with trace_span("core.train"):
-        for host_id, matrix in matrices.items():
-            for feature in distributions:
-                distributions[feature][host_id] = _training_distribution(
-                    matrix.series(feature).week_range(start_week, end_week), active_bins_only
-                )
-    return distributions
+        return {
+            feature: _training_block(
+                matrices,
+                feature,
+                lambda series: series.week_range(start_week, end_week),
+                active_bins_only,
+            )
+            for feature in features
+        }
 
 
 def train_protocol(
     matrices: Mapping[int, FeatureMatrix], protocol: DetectionProtocol
-) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
+) -> Dict[Feature, DistributionBlock]:
     """Train stage of ``protocol``: its features' distributions over its training week.
 
     Training does not depend on the policy or the attack, so an experiment
@@ -488,7 +653,7 @@ def measure_assignment(
     attack_builder: Optional[BatchAttackFn] = None,
     test_week: Optional[int] = None,
     attack_assignment=None,
-) -> Dict[int, HostPerformance]:
+) -> HostPerformances:
     """Measure an already computed threshold assignment on one test week.
 
     This is the measurement half of :func:`evaluate_policy` (which is
@@ -605,12 +770,13 @@ def _measure_week(
     attack: Optional[BatchAttackFn],
     week: int,
     attack_assignment,
-) -> Dict[int, HostPerformance]:
+) -> HostPerformances:
     """Score one test week over the shared bin grid.
 
     Every per-host quantity is computed as an array operation over
     ``(num_hosts, num_bins)`` stacks; row ``i`` holds host ``i``'s counts,
     so the per-host floats are the same scalar operations, just batched.
+    The result keeps them as arrays; no per-host object is built here.
     """
     host_ids = list(matrices)
     reference = matrices[host_ids[0]].series(features[0])
@@ -658,23 +824,32 @@ def _measure_week(
             attack_thresholds,
         )
 
-    attack_bin_counts: Dict[Feature, np.ndarray] = {}
-    missed_counts: Dict[Feature, np.ndarray] = {}
-    for feature, rows in amounts.items():
+    per_feature: Dict[Feature, DetectorColumns] = {}
+    unattacked = np.zeros(len(host_ids), dtype=np.int64)
+    for feature in features:
+        rows = amounts.get(feature)
+        if rows is None:
+            per_feature[feature] = _detector_columns(
+                counts[feature], unattacked, unattacked, num_bins
+            )
+            continue
         attacked = rows > 0
-        attack_bin_counts[feature] = np.count_nonzero(attacked, axis=1)
-        missed_counts[feature] = np.count_nonzero(
+        missed = np.count_nonzero(
             ((values[feature] + rows) <= thresholds[feature][:, None]) & attacked, axis=1
         )
+        per_feature[feature] = _detector_columns(
+            counts[feature], missed, np.count_nonzero(attacked, axis=1), num_bins
+        )
 
-    multi = len(features) > 1
-    if multi:
+    if len(features) == 1:
+        fused = per_feature[features[0]]
+    else:
         votes = np.zeros((len(host_ids), num_bins), dtype=np.int64)
         for feature in features:
             votes += exceed[feature]
         required = fusion.required_votes(len(features))
-        fused_benign = votes >= required
-        fused_counts = np.count_nonzero(fused_benign, axis=1)
+        fused_counts = np.count_nonzero(votes >= required, axis=1)
+        fused_missed = fused_attacked_bins = unattacked
         if amounts:
             union = np.zeros((len(host_ids), num_bins), dtype=bool)
             for rows in amounts.values():
@@ -688,65 +863,6 @@ def _measure_week(
                     else values[feature]
                 )
                 attack_votes += observed > thresholds[feature][:, None]
-            fused_attack = attack_votes >= required
-            fused_missed = np.count_nonzero(~fused_attack & union, axis=1)
-
-    performances: Dict[int, HostPerformance] = {}
-    for index, host_id in enumerate(host_ids):
-        host_thresholds = {
-            feature: float(thresholds[feature][index]) for feature in features
-        }
-        feature_counts = {feature: int(counts[feature][index]) for feature in features}
-        feature_fp = {feature: feature_counts[feature] / num_bins for feature in features}
-        feature_fn: Dict[Feature, float] = {}
-        feature_alarm: Dict[Feature, Optional[bool]] = {}
-        for feature in features:
-            attacked_bins = (
-                int(attack_bin_counts[feature][index]) if feature in amounts else 0
-            )
-            if attacked_bins > 0:
-                fn = float(int(missed_counts[feature][index])) / attacked_bins
-                feature_fn[feature] = fn
-                feature_alarm[feature] = fn < 1.0
-            else:
-                feature_fn[feature] = 0.0
-                feature_alarm[feature] = None
-
-        if not multi:
-            only = features[0]
-            fused_point = OperatingPoint(
-                false_positive_rate=feature_fp[only], false_negative_rate=feature_fn[only]
-            )
-            fused_count = feature_counts[only]
-            alarm_raised = feature_alarm[only]
-        else:
-            fused_count = int(fused_counts[index])
-            fused_fn = 0.0
-            alarm_raised = None
-            if amounts:
-                attacked_bins = int(fused_attacked_bins[index])
-                if attacked_bins > 0:
-                    fused_fn = float(int(fused_missed[index])) / attacked_bins
-                    alarm_raised = fused_fn < 1.0
-            fused_point = OperatingPoint(
-                false_positive_rate=float(fused_count) / num_bins,
-                false_negative_rate=fused_fn,
-            )
-
-        performances[host_id] = HostPerformance(
-            host_id=host_id,
-            thresholds=host_thresholds,
-            feature_operating_points={
-                feature: OperatingPoint(
-                    false_positive_rate=feature_fp[feature],
-                    false_negative_rate=feature_fn[feature],
-                )
-                for feature in features
-            },
-            feature_false_alarm_counts=feature_counts,
-            operating_point=fused_point,
-            false_alarm_count=fused_count,
-            alarm_raised=alarm_raised,
-            feature_alarm_raised=feature_alarm,
-        )
-    return performances
+            fused_missed = np.count_nonzero((attack_votes < required) & union, axis=1)
+        fused = _detector_columns(fused_counts, fused_missed, fused_attacked_bins, num_bins)
+    return HostPerformances(host_ids, thresholds, per_feature, fused)

@@ -31,7 +31,7 @@ from repro.core.evaluation import (
     evaluate_policy,
 )
 from repro.core.fusion import FusionRule
-from repro.core.metrics import f_measure_from_rates
+from repro.core.metrics import f_measure_from_rate_arrays, utility_array
 from repro.core.policies import (
     ConfigurationPolicy,
     FullDiversityPolicy,
@@ -240,19 +240,16 @@ class ScenarioOutcome:
 
 
 def _aggregate_performances(
-    false_positive_rates: Sequence[float],
-    false_negative_rates: Sequence[float],
+    false_positive_rates: np.ndarray,
+    false_negative_rates: np.ndarray,
     weight: float,
     attack_prevalence: float,
 ) -> Dict[str, float]:
     """The shared (FP, FN) → aggregate-metric computation, fused or per feature."""
     fp = np.asarray(false_positive_rates, dtype=float)
     fn = np.asarray(false_negative_rates, dtype=float)
-    utilities = 1.0 - (weight * fn + (1.0 - weight) * fp)
-    f_measures = [
-        f_measure_from_rates(fp_i, fn_i, attack_prevalence)
-        for fp_i, fn_i in zip(fp, fn, strict=True)
-    ]
+    utilities = utility_array(fp, fn, weight)
+    f_measures = f_measure_from_rate_arrays(fp, fn, attack_prevalence)
     return {
         "mean_utility": float(np.mean(utilities)),
         "median_utility": float(np.median(utilities)),
@@ -283,35 +280,26 @@ def summarize_scenario(
     percentile-bootstrap confidence interval over the per-host fused
     utilities (``utility_ci_low``/``utility_ci_high``).
     """
-    performances = evaluation.performances.values()
+    performances = evaluation.performances
     protocol = evaluation.protocol
     weight = protocol.utility_weight
     fused = _aggregate_performances(
-        [perf.false_positive_rate for perf in performances],
-        [perf.false_negative_rate for perf in performances],
+        performances.fused.false_positive_rates,
+        performances.fused.false_negative_rates,
         weight,
         attack_prevalence,
     )
     per_feature: Dict[str, Dict[str, float]] = {}
     for feature in protocol.features:
-        points = [perf.feature_point(feature) for perf in performances]
+        columns = performances.feature(feature)
         aggregates = _aggregate_performances(
-            [point.false_positive_rate for point in points],
-            [point.false_negative_rate for point in points],
+            columns.false_positive_rates,
+            columns.false_negative_rates,
             weight,
             attack_prevalence,
         )
-        aggregates["total_false_alarms"] = int(
-            sum(perf.feature_false_alarm_counts[feature] for perf in performances)
-        )
-        flags = [
-            perf.feature_alarm_raised.get(feature)
-            for perf in performances
-            if perf.feature_alarm_raised.get(feature) is not None
-        ]
-        aggregates["fraction_raising_alarm"] = (
-            float(np.mean([1.0 if flag else 0.0 for flag in flags])) if flags else 0.0
-        )
+        aggregates["total_false_alarms"] = int(np.sum(columns.false_alarm_counts))
+        aggregates["fraction_raising_alarm"] = columns.fraction_raising_alarm()
         aggregates["distinct_thresholds"] = (
             evaluation.assignment.for_feature(feature).distinct_threshold_count()
         )
@@ -319,10 +307,7 @@ def summarize_scenario(
     optimization = evaluation.optimization
     sampling_fields: Dict[str, Any] = {}
     if sample is not None and sample.enabled:
-        utilities = [
-            1.0 - (weight * perf.false_negative_rate + (1.0 - weight) * perf.false_positive_rate)
-            for perf in performances
-        ]
+        utilities = evaluation.utility_array()
         low, high = bootstrap_mean_interval(
             utilities, sample.bootstrap, sample.confidence, sample.seed
         )

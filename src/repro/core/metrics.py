@@ -65,6 +65,16 @@ def utility(false_negative_rate: float, false_positive_rate: float, weight: floa
     return 1.0 - (weight * false_negative_rate + (1.0 - weight) * false_positive_rate)
 
 
+def utility_array(
+    false_positive_rates: np.ndarray, false_negative_rates: np.ndarray, weight: float
+) -> np.ndarray:
+    """Vectorised :func:`utility` over arrays of operating points (any matching shapes)."""
+    require_probability(weight, "weight")
+    fp = np.asarray(false_positive_rates, dtype=float)
+    fn = np.asarray(false_negative_rates, dtype=float)
+    return 1.0 - (weight * fn + (1.0 - weight) * fp)
+
+
 def precision_recall(
     true_positives: float, false_positives: float, false_negatives: float
 ) -> Tuple[float, float]:
@@ -92,37 +102,18 @@ def f_measure(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f_measure_from_rates(
-    false_positive_rate: float,
-    false_negative_rate: float,
-    attack_prevalence: float,
-) -> float:
-    """F-measure computed from rates and the fraction of bins that carry attacks.
-
-    Converts the rate-based operating point into expected per-bin counts using
-    ``attack_prevalence`` (the fraction of bins containing attack traffic) and
-    then applies the usual precision/recall definitions.
-    """
-    require_probability(false_positive_rate, "false_positive_rate")
-    require_probability(false_negative_rate, "false_negative_rate")
-    require_probability(attack_prevalence, "attack_prevalence")
-    true_positives = attack_prevalence * (1.0 - false_negative_rate)
-    false_negatives = attack_prevalence * false_negative_rate
-    false_positives = (1.0 - attack_prevalence) * false_positive_rate
-    precision, recall = precision_recall(true_positives, false_positives, false_negatives)
-    return f_measure(precision, recall)
-
-
 def f_measure_from_rate_arrays(
     false_positive_rates: np.ndarray,
     false_negative_rates: np.ndarray,
     attack_prevalence: float,
 ) -> np.ndarray:
-    """Vectorised :func:`f_measure_from_rates` over arrays of operating points.
+    """F-measure of arrays of operating points, given the fraction of attacked bins.
 
-    Element-for-element identical to the scalar version, including the
-    degenerate conventions (precision 1.0 when nothing is flagged, F-measure
-    0.0 when precision and recall are both zero).
+    Converts each rate-based operating point into expected per-bin counts
+    using ``attack_prevalence`` and applies the definitions of
+    :func:`precision_recall` and :func:`f_measure` element-wise, including
+    their degenerate conventions (precision 1.0 when nothing is flagged,
+    F-measure 0.0 when precision and recall are both zero).
     """
     require_probability(attack_prevalence, "attack_prevalence")
     fp = np.asarray(false_positive_rates, dtype=float)

@@ -32,7 +32,7 @@ from repro.core.grouping import (
 from repro.core.thresholds import DEFAULT_PERCENTILE, PercentileHeuristic, ThresholdHeuristic
 from repro.features.definitions import Feature
 from repro.optimize import FusedUtilityObjective, OptimizationReport, ThresholdOptimizer
-from repro.stats.empirical import EmpiricalDistribution
+from repro.stats.empirical import DistributionBlock, EmpiricalDistribution
 from repro.telemetry import add_count, trace_span
 from repro.utils.validation import require
 
@@ -268,23 +268,38 @@ class ConfigurationPolicy:
         ----------
         training_distributions:
             Per-host empirical distributions of the feature, built from the
-            training week.
+            training week.  A plain mapping is stacked into a
+            :class:`~repro.stats.empirical.DistributionBlock` first.
         grouping_statistic_percentile:
             The percentile of each host's training distribution used as the
             grouping statistic (the paper groups on the 99th percentile).
+
+        The grouping statistics, and the thresholds of every one-host group,
+        are computed for all hosts at once over the block.
         """
         require(len(training_distributions) > 0, "training data must cover at least one host")
-        statistics = {
-            host_id: distribution.percentile(grouping_statistic_percentile)
-            for host_id, distribution in training_distributions.items()
-        }
-        assignment = self._grouping.assign(statistics)
+        block = DistributionBlock.stack(training_distributions)
+        assignment = self._grouping.assign(
+            _grouping_statistics(block, grouping_statistic_percentile)
+        )
+        single_hosts = {group[0] for group in assignment.groups if len(group) == 1}
+        singles = (
+            block
+            if len(single_hosts) == len(block)
+            else block.subset([host_id for host_id in block if host_id in single_hosts])
+        )
+        own_thresholds = dict(
+            zip(singles.host_ids, self._heuristic.host_thresholds(singles).tolist(), strict=True)
+        )
 
         group_thresholds: List[float] = []
         thresholds: Dict[int, float] = {}
         for group in assignment.groups:
-            members = [training_distributions[host_id] for host_id in group]
-            threshold = float(self._heuristic.threshold_for_group(members))
+            if len(group) == 1:
+                threshold = own_thresholds[group[0]]
+            else:
+                members = [block[host_id] for host_id in group]
+                threshold = float(self._heuristic.threshold_for_group(members))
             group_thresholds.append(threshold)
             for host_id in group:
                 thresholds[host_id] = threshold
@@ -339,6 +354,10 @@ class ConfigurationPolicy:
             not depend on a starting point).
         """
         require(len(training_distributions) > 0, "training data must cover at least one feature")
+        training_distributions = {
+            feature: DistributionBlock.stack(distributions)
+            for feature, distributions in training_distributions.items()
+        }
         host_sets = {frozenset(dists) for dists in training_distributions.values()}
         require(len(host_sets) == 1, "every feature's training data must cover the same hosts")
         add_count("optimize.assignments")
@@ -370,7 +389,7 @@ class ConfigurationPolicy:
 
     def _assign_jointly(
         self,
-        training_distributions: Mapping[Feature, Mapping[int, EmpiricalDistribution]],
+        training_distributions: Mapping[Feature, DistributionBlock],
         grouping_statistic_percentile: float,
         objective: FusedUtilityObjective,
         warm_start: Optional[DetectionAssignment] = None,
@@ -384,12 +403,11 @@ class ConfigurationPolicy:
         ``warm_start`` when its grouping lines up with the new one).
         """
         features = tuple(training_distributions)
-        primary = training_distributions[features[0]]
-        statistics = {
-            host_id: distribution.percentile(grouping_statistic_percentile)
-            for host_id, distribution in primary.items()
-        }
-        grouping = self._grouping.assign(statistics)
+        grouping = self._grouping.assign(
+            _grouping_statistics(
+                training_distributions[features[0]], grouping_statistic_percentile
+            )
+        )
         warm_vectors = self._warm_start_vectors(warm_start, features, grouping.num_groups)
 
         group_thresholds: Dict[Feature, List[float]] = {feature: [] for feature in features}
@@ -513,6 +531,11 @@ class ConfigurationPolicy:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ConfigurationPolicy({self._name})"
+
+
+def _grouping_statistics(block: DistributionBlock, percentile: float) -> Dict[int, float]:
+    """Every host's grouping statistic: its ``percentile``-th training percentile."""
+    return dict(zip(block.host_ids, block.percentile(percentile).tolist(), strict=True))
 
 
 class HomogeneousPolicy(ConfigurationPolicy):

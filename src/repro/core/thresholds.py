@@ -13,18 +13,24 @@ per-group or per-host) training distribution into a detection threshold:
 
 All heuristics consume an :class:`~repro.stats.empirical.EmpiricalDistribution`
 of benign per-bin counts and return a scalar threshold, so they compose with
-any grouping method.
+any grouping method.  :meth:`ThresholdHeuristic.host_thresholds` gives every
+host of a :class:`~repro.stats.empirical.DistributionBlock` its own threshold
+in one call, which the percentile and grid-search heuristics vectorise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, f_measure_from_rate_arrays
-from repro.stats.empirical import EmpiricalDistribution
+from repro.core.metrics import (
+    DEFAULT_UTILITY_WEIGHT,
+    f_measure_from_rate_arrays,
+    utility_array,
+)
+from repro.stats.empirical import DistributionBlock, EmpiricalDistribution
 from repro.utils.validation import require, require_non_negative, require_probability
 
 #: The percentile IT operators target in practice (per the paper's survey).
@@ -59,6 +65,10 @@ class ThresholdHeuristic:
             return self.threshold(distributions[0])
         return self.threshold(EmpiricalDistribution.pooled(list(distributions)))
 
+    def host_thresholds(self, block: DistributionBlock) -> np.ndarray:
+        """Every host's own threshold (a one-member group each), in block row order."""
+        return np.array([self.threshold_for_group([block[host]]) for host in block], dtype=float)
+
 
 @dataclass(frozen=True)
 class PercentileHeuristic(ThresholdHeuristic):
@@ -82,6 +92,9 @@ class PercentileHeuristic(ThresholdHeuristic):
 
     def threshold(self, distribution: EmpiricalDistribution) -> float:
         return distribution.percentile(self.percentile)
+
+    def host_thresholds(self, block: DistributionBlock) -> np.ndarray:
+        return block.percentile(self.percentile)
 
 
 @dataclass(frozen=True)
@@ -110,21 +123,28 @@ def candidate_threshold_grid(
     :mod:`repro.optimize` optimizers: upper-half quantiles of the training
     distribution, deduplicated and sorted.
     """
-    quantiles = np.minimum(np.linspace(0.5, 1.0, num_candidates), 1.0)
-    values = distribution.percentiles(100.0 * quantiles)
+    return _grid(distribution.percentiles(_grid_percentiles(num_candidates)), distribution.max())
+
+
+def candidate_threshold_grids(block: DistributionBlock, num_candidates: int) -> List[np.ndarray]:
+    """:func:`candidate_threshold_grid` of every host of ``block``, in row order.
+
+    The grid percentiles of all hosts are one vectorised pass over the block.
+    """
+    values = block.percentiles(_grid_percentiles(num_candidates))
+    return [
+        _grid(row, maximum)
+        for row, maximum in zip(values, block.maxima().tolist(), strict=True)
+    ]
+
+
+def _grid_percentiles(num_candidates: int) -> np.ndarray:
+    return 100.0 * np.minimum(np.linspace(0.5, 1.0, num_candidates), 1.0)
+
+
+def _grid(values: np.ndarray, maximum: float) -> np.ndarray:
     # Include a little headroom above the max so "never alarm" is a candidate.
-    return np.unique(np.append(values, distribution.max() * 1.01 + 1.0))
-
-
-def _rates_at(
-    distribution: EmpiricalDistribution, threshold: float, attack_sizes: np.ndarray
-) -> tuple:
-    """(FP, FN) at ``threshold`` for attacks uniformly drawn from ``attack_sizes``."""
-    false_positive = distribution.exceedance(threshold)
-    if attack_sizes.size == 0:
-        return false_positive, 0.0
-    misses = [1.0 - distribution.shifted_exceedance(threshold, size) for size in attack_sizes]
-    return false_positive, float(np.mean(misses))
+    return np.unique(np.append(values, maximum * 1.01 + 1.0))
 
 
 def _member_rate_matrices(
@@ -132,11 +152,13 @@ def _member_rate_matrices(
     candidates: np.ndarray,
     attack_sizes: np.ndarray,
 ) -> tuple:
-    """Vectorised :func:`_rates_at` over the whole candidate grid.
+    """Every member's (FP, FN) at every candidate threshold.
 
-    Returns ``(fp, fn)`` arrays of shape ``(num_candidates, num_members)``;
-    member values sit contiguously per candidate so row reductions match the
-    scalar loop's float summation order exactly.
+    FP is the member's exceedance rate at the candidate; FN is its miss rate
+    averaged over attacks uniformly drawn from ``attack_sizes`` (0.0 when
+    there are none).  Returns ``(fp, fn)`` arrays of shape
+    ``(num_candidates, num_members)``; member values sit contiguously per
+    candidate, so a mean over members sums them in a fixed order.
     """
     fp = np.empty((candidates.size, len(distributions)))
     fn = np.zeros((candidates.size, len(distributions)))
@@ -148,9 +170,52 @@ def _member_rate_matrices(
     return fp, fn
 
 
+class _GridSearchHeuristic(ThresholdHeuristic):
+    """A heuristic picking, from a candidate grid, the threshold with the best mean member score.
+
+    The grid comes from the group's pooled distribution
+    (:func:`candidate_threshold_grid`); each candidate is scored for every
+    member against the assumed attack sizes and the best average wins.
+    Subclasses define the per-member score.
+    """
+
+    attack_sizes: Sequence[float]
+    num_candidates: int
+
+    def _scores(self, false_positives: np.ndarray, false_negatives: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def threshold(self, distribution: EmpiricalDistribution) -> float:
+        return self.threshold_for_group([distribution])
+
+    def threshold_for_group(self, distributions: Sequence[EmpiricalDistribution]) -> float:
+        require(len(distributions) > 0, "group must contain at least one distribution")
+        pooled = EmpiricalDistribution.pooled(list(distributions))
+        return self._best(distributions, candidate_threshold_grid(pooled, self.num_candidates))
+
+    def host_thresholds(self, block: DistributionBlock) -> np.ndarray:
+        grids = candidate_threshold_grids(block, self.num_candidates)
+        return np.array(
+            [self._best([block[host]], grid) for host, grid in zip(block, grids, strict=True)],
+            dtype=float,
+        )
+
+    def _best(self, members: Sequence[EmpiricalDistribution], candidates: np.ndarray) -> float:
+        sizes = np.asarray(self.attack_sizes, dtype=float)
+        false_positives, false_negatives = _member_rate_matrices(members, candidates, sizes)
+        mean_scores = np.mean(self._scores(false_positives, false_negatives), axis=1)
+        return float(candidates[int(np.argmax(mean_scores))])
+
+
 @dataclass(frozen=True)
-class UtilityHeuristic(ThresholdHeuristic):
+class UtilityHeuristic(_GridSearchHeuristic):
     """Threshold maximising the paper's utility against assumed attack sizes.
+
+    For a single host this is the paper's per-host utility-optimal
+    threshold; for the homogeneous and partial-diversity groupings it is the
+    single value that best balances the false positives of heavy members
+    against the missed detections of light members (the *average member*
+    utility is maximised).
 
     Attributes
     ----------
@@ -178,30 +243,13 @@ class UtilityHeuristic(ThresholdHeuristic):
     def name(self) -> str:
         return f"utility-w{self.weight:g}"
 
-    def threshold(self, distribution: EmpiricalDistribution) -> float:
-        return self.threshold_for_group([distribution])
-
-    def threshold_for_group(self, distributions: Sequence[EmpiricalDistribution]) -> float:
-        """Threshold maximising the *average member* utility.
-
-        For a single host this is the paper's per-host utility-optimal
-        threshold; for the homogeneous and partial-diversity groupings it is
-        the single value that best balances the false positives of heavy
-        members against the missed detections of light members.
-        """
-        require(len(distributions) > 0, "group must contain at least one distribution")
-        pooled = EmpiricalDistribution.pooled(list(distributions))
-        candidates = candidate_threshold_grid(pooled, self.num_candidates)
-        sizes = np.asarray(self.attack_sizes, dtype=float)
-        false_positives, false_negatives = _member_rate_matrices(distributions, candidates, sizes)
-        utilities = 1.0 - (self.weight * false_negatives + (1.0 - self.weight) * false_positives)
-        mean_utilities = np.mean(utilities, axis=1)
-        return float(candidates[int(np.argmax(mean_utilities))])
+    def _scores(self, false_positives: np.ndarray, false_negatives: np.ndarray) -> np.ndarray:
+        return utility_array(false_positives, false_negatives, self.weight)
 
 
 @dataclass(frozen=True)
-class FMeasureHeuristic(ThresholdHeuristic):
-    """Threshold maximising the F-measure against assumed attack sizes.
+class FMeasureHeuristic(_GridSearchHeuristic):
+    """Threshold maximising the average member F-measure against assumed attack sizes.
 
     Attributes
     ----------
@@ -227,18 +275,5 @@ class FMeasureHeuristic(ThresholdHeuristic):
     def name(self) -> str:
         return "f-measure"
 
-    def threshold(self, distribution: EmpiricalDistribution) -> float:
-        return self.threshold_for_group([distribution])
-
-    def threshold_for_group(self, distributions: Sequence[EmpiricalDistribution]) -> float:
-        """Threshold maximising the average member F-measure."""
-        require(len(distributions) > 0, "group must contain at least one distribution")
-        pooled = EmpiricalDistribution.pooled(list(distributions))
-        candidates = candidate_threshold_grid(pooled, self.num_candidates)
-        sizes = np.asarray(self.attack_sizes, dtype=float)
-        false_positives, false_negatives = _member_rate_matrices(distributions, candidates, sizes)
-        scores = f_measure_from_rate_arrays(
-            false_positives, false_negatives, self.attack_prevalence
-        )
-        mean_scores = np.mean(scores, axis=1)
-        return float(candidates[int(np.argmax(mean_scores))])
+    def _scores(self, false_positives: np.ndarray, false_negatives: np.ndarray) -> np.ndarray:
+        return f_measure_from_rate_arrays(false_positives, false_negatives, self.attack_prevalence)

@@ -32,6 +32,7 @@ from repro.core.evaluation import (
     train_protocol,
 )
 from repro.core.fusion import FusionRule
+from repro.core.metrics import utility_array
 from repro.core.policies import (
     ConfigurationPolicy,
     FullDiversityPolicy,
@@ -42,7 +43,7 @@ from repro.core.thresholds import UtilityHeuristic
 from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature
 from repro.optimize import CoordinateAscentOptimizer, IndependentOptimizer, ThresholdOptimizer
-from repro.stats.summary import SummaryStatistics
+from repro.stats.summary import SummaryStatistics, summarize
 from repro.utils.validation import require
 from repro.workload.enterprise import EnterprisePopulation
 
@@ -142,35 +143,28 @@ def run_fig3(
     training = train_protocol(matrices, protocol)
     assignments = {policy.name: assign_policy(policy, training, protocol) for policy in policies}
 
-    # Each host's FN is averaged over the sweep of always-on naive attacks;
-    # FP does not depend on the attack, so it is taken from the first size.
+    # Each host's FN is averaged over the sweep of always-on naive attacks
+    # (a (hosts, sizes) array per policy, one column per size); FP does not
+    # depend on the attack, so it is taken from the first size.
     evaluations: Dict[str, PolicyEvaluation] = {}
-    fn_rates: Dict[str, Dict[int, List[float]]] = {name: {} for name in assignments}
-    for size in sizes:
+    fn_sweep = {name: np.empty((len(matrices), len(sizes))) for name in assignments}
+    for column, size in enumerate(sizes):
         attack_builder = NaiveAttacker(feature=feature, attack_size=size).host_builder()
         for name, assignment in assignments.items():
             evaluation = measure_policy(matrices, assignment, protocol, attack_builder)
             evaluations.setdefault(name, evaluation)
-            for host_id, perf in evaluation.performances.items():
-                fn_rates[name].setdefault(host_id, []).append(perf.false_negative_rate)
-    per_policy_rates: Dict[str, Dict[int, Tuple[float, float]]] = {
-        name: {
-            host_id: (
-                evaluations[name].performances[host_id].false_positive_rate,
-                float(np.mean(fn_list)),
-            )
-            for host_id, fn_list in fn_rates[name].items()
-        }
+            fn_sweep[name][:, column] = evaluation.performances.fused.false_negative_rates
+    per_policy_rates: Dict[str, Tuple[np.ndarray, np.ndarray]] = {
+        name: (
+            evaluations[name].performances.fused.false_positive_rates,
+            np.mean(fn_sweep[name], axis=1),
+        )
         for name in assignments
     }
 
-    def utilities_at(policy_name: str, weight: float) -> List[float]:
-        return [
-            1.0 - (weight * fn + (1.0 - weight) * fp)
-            for fp, fn in per_policy_rates[policy_name].values()
-        ]
-
-    from repro.stats.summary import summarize
+    def utilities_at(policy_name: str, weight: float) -> np.ndarray:
+        fp, fn = per_policy_rates[policy_name]
+        return utility_array(fp, fn, weight)
 
     boxplots = {name: summarize(utilities_at(name, utility_weight)) for name in per_policy_rates}
     weight_sweep = {

@@ -130,8 +130,14 @@ def run_fig5(
     scatter: Dict[str, Dict[int, Tuple[float, float]]] = {}
     for policy in policies:
         evaluation = evaluate_policy(matrices, policy, protocol, attack_builder=attack)
+        fused = evaluation.performances.fused
         scatter[policy.name] = {
-            host_id: (perf.false_positive_rate, perf.detection_rate)
-            for host_id, perf in evaluation.performances.items()
+            host_id: (fp, detection)
+            for host_id, fp, detection in zip(
+                evaluation.performances.host_ids,
+                fused.false_positive_rates.tolist(),
+                (1.0 - fused.false_negative_rates).tolist(),
+                strict=True,
+            )
         }
     return StormReplayResult(feature=feature, scatter=scatter)

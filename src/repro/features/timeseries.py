@@ -201,6 +201,8 @@ class FeatureMatrix:
         require(len(lengths) == 1, "all feature series must share the same length")
         self._host_id = int(host_id)
         self._series: Dict[Feature, TimeSeries] = dict(series)
+        self._num_bins = lengths.pop()
+        self._bin_width = widths.pop()
 
     @property
     def host_id(self) -> int:
@@ -215,12 +217,12 @@ class FeatureMatrix:
     @property
     def num_bins(self) -> int:
         """Number of bins in every series."""
-        return next(iter(self._series.values())).num_bins
+        return self._num_bins
 
     @property
     def bin_width(self) -> float:
         """Bin width in seconds."""
-        return next(iter(self._series.values())).bin_width
+        return self._bin_width
 
     def __contains__(self, feature: Feature) -> bool:
         return feature in self._series

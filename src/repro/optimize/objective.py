@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.fusion import FusionRule
-from repro.core.metrics import DEFAULT_UTILITY_WEIGHT
+from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, utility_array
 from repro.features.definitions import Feature
 from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.validation import require, require_probability
@@ -121,8 +121,8 @@ class FusedUtilityObjective:
                 attacked[target] = member[features[target]].exceedances(shifted)
                 detection = self.fusion.alarm_probability(attacked)  # (num_sizes, num_candidates)
                 false_negative = np.mean(1.0 - detection, axis=0)
-            utilities[:, member_index] = 1.0 - (
-                self.weight * false_negative + (1.0 - self.weight) * false_positive
+            utilities[:, member_index] = utility_array(
+                false_positive, false_negative, self.weight
             )
         return utilities
 

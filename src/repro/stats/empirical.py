@@ -7,11 +7,17 @@ stores the samples, exposes percentiles, the ECDF, exceedance probabilities
 (used for false-positive/false-negative computations) and supports pooling
 distributions across hosts (used by the homogeneous and partial-diversity
 policies).
+
+:class:`DistributionBlock` holds a whole population's per-host distributions
+as one row-sorted ``(hosts, bins)`` array, so per-host percentiles are one
+vectorised pass (:func:`tail_percentiles`) instead of one call per host.
+Both classes compute percentiles through :func:`tail_percentiles`, which
+reproduces ``np.percentile``'s default ``linear`` method bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,15 +59,23 @@ class EmpiricalDistribution:
         allow_empty: bool = True,
         bin_width: Optional[float] = None,
     ) -> None:
-        values = np.asarray(list(samples) if samples is not None else [], dtype=float)
+        values = _as_samples(samples)
         if not allow_empty and values.size == 0:
             raise ValidationError("EmpiricalDistribution requires at least one sample")
-        if values.size and not np.all(np.isfinite(values)):
-            raise ValidationError("samples must be finite")
         if bin_width is not None:
             require(bin_width > 0.0, "bin_width must be positive")
         self._sorted = np.sort(values)
         self._bin_width = None if bin_width is None else float(bin_width)
+
+    @classmethod
+    def _of_sorted(
+        cls, sorted_samples: np.ndarray, bin_width: Optional[float]
+    ) -> "EmpiricalDistribution":
+        """Wrap already sorted, validated samples without copying them."""
+        distribution = cls.__new__(cls)
+        distribution._sorted = sorted_samples
+        distribution._bin_width = bin_width
+        return distribution
 
     # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
@@ -91,10 +105,7 @@ class EmpiricalDistribution:
     # ----------------------------------------------------------------- update
     def add(self, values: Iterable[float]) -> "EmpiricalDistribution":
         """Return a new distribution with ``values`` merged in."""
-        new_values = np.asarray(list(values), dtype=float)
-        if new_values.size and not np.all(np.isfinite(new_values)):
-            raise ValidationError("samples must be finite")
-        merged = np.concatenate([self._sorted, new_values])
+        merged = np.concatenate([self._sorted, _as_samples(values)])
         return EmpiricalDistribution(merged, bin_width=self._bin_width)
 
     @classmethod
@@ -140,7 +151,7 @@ class EmpiricalDistribution:
         """Return the ``q``-th percentile (``q`` in [0, 100])."""
         require(0.0 <= q <= 100.0, "percentile q must be in [0, 100]")
         self._require_samples()
-        return float(np.percentile(self._sorted, q))
+        return float(self._tail_percentiles([q])[0])
 
     def quantile(self, p: float) -> float:
         """Return the ``p``-quantile (``p`` in [0, 1])."""
@@ -171,7 +182,10 @@ class EmpiricalDistribution:
         values = np.asarray(qs, dtype=float)
         require(bool(np.all((values >= 0.0) & (values <= 100.0))), "percentile q must be in [0, 100]")
         self._require_samples()
-        return np.percentile(self._sorted, values)
+        return self._tail_percentiles(values.ravel()).reshape(values.shape)
+
+    def _tail_percentiles(self, qs) -> np.ndarray:
+        return tail_percentiles(self._sorted[None, :], np.array([self._sorted.size]), qs)[0]
 
     def survival_at_or_above(self, value: float) -> float:
         """Return ``P(X >= value)``."""
@@ -256,3 +270,178 @@ def common_bin_width(distributions: Sequence["EmpiricalDistribution"]) -> Option
             f"({sorted(widths)}); resample to a common bin width first"
         )
     return next(iter(widths)) if widths else None
+
+
+def _as_samples(samples: Optional[Iterable[float]]) -> np.ndarray:
+    """``samples`` as a float array, rejecting non-finite values.
+
+    Arrays, lists and tuples convert directly; only other iterables (for
+    example generators) are materialised into a list first.
+    """
+    if samples is None:
+        return np.empty(0)
+    if not isinstance(samples, (np.ndarray, list, tuple)):
+        samples = list(samples)
+    values = np.asarray(samples, dtype=float)
+    if values.size and not np.all(np.isfinite(values)):
+        raise ValidationError("samples must be finite")
+    return values
+
+
+def tail_percentiles(rows: np.ndarray, counts: np.ndarray, qs) -> np.ndarray:
+    """Percentiles ``qs`` (in [0, 100]) of every row's samples, as ``(rows, len(qs))``.
+
+    ``rows`` is row-sorted and row ``i`` holds its samples in its last
+    ``counts[i]`` columns (``counts[i] >= 1``).  The result equals
+    ``np.percentile(samples_i, qs)`` bit for bit: numpy's ``linear`` method
+    puts percentile ``q`` at the virtual index ``(n - 1) * (q / 100)``,
+    takes the top sample from index ``n - 1`` on, and interpolates between
+    the neighbouring samples with numpy's ``_lerp`` rounding.  The samples
+    are already sorted, so the neighbours are read directly instead of
+    partitioning a copy.
+    """
+    fractions = np.true_divide(np.asarray(qs, dtype=float), 100)
+    last = np.asarray(counts, dtype=np.intp)[:, None] - 1
+    virtual = last * fractions[None, :]
+    previous = np.floor(virtual)
+    following = previous + 1
+    top = virtual >= last
+    # numpy points both neighbours at index -1 (the top sample) and derives
+    # the weight from that index, so the weight is computed the same way.
+    previous[top] = -1
+    following[top] = -1
+    gamma = virtual - previous
+    # Row i's sample k sits in column start_i + k; the top sample in the last.
+    width = rows.shape[1]
+    start = width - 1 - last
+    low = np.take_along_axis(rows, np.where(top, width - 1, start + previous.astype(np.intp)), 1)
+    high = np.take_along_axis(
+        rows, np.where(top, width - 1, start + following.astype(np.intp)), 1
+    )
+    difference = high - low
+    result = low + difference * gamma
+    np.subtract(high, difference * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result
+
+
+class DistributionBlock(Mapping[int, EmpiricalDistribution]):
+    """Per-host empirical distributions stored as one row-sorted ``(hosts, bins)`` block.
+
+    Row ``i`` belongs to ``host_ids[i]`` and is sorted ascending; the host's
+    samples are its last ``counts[i]`` columns (earlier columns hold values
+    that are not samples: the excluded idle bins of an active-bins-only
+    training week, or ``-inf`` padding when hosts have different lengths).
+    Looking a host up returns an :class:`EmpiricalDistribution` over a
+    read-only view of that tail, so the block is the ``Mapping[int,
+    EmpiricalDistribution]`` every policy and heuristic consumes, while
+    per-host statistics over the whole population are one array pass.
+    """
+
+    def __init__(
+        self,
+        host_ids: Sequence[int],
+        rows: np.ndarray,
+        counts: np.ndarray,
+        bin_widths: Sequence[Optional[float]],
+    ) -> None:
+        require(rows.ndim == 2 and rows.shape[0] == len(host_ids), "one row per host is required")
+        require(bool(np.all(counts >= 1)), "every host needs at least one sample")
+        self._host_ids = tuple(host_ids)
+        self._index = {host_id: row for row, host_id in enumerate(self._host_ids)}
+        require(len(self._index) == len(self._host_ids), "host ids must be distinct")
+        rows.flags.writeable = False
+        self._rows = rows
+        self._counts = np.asarray(counts, dtype=np.intp)
+        self._bin_widths = tuple(bin_widths)
+
+    @classmethod
+    def from_samples(
+        cls,
+        host_ids: Sequence[int],
+        samples: Sequence[np.ndarray],
+        bin_widths: Sequence[Optional[float]],
+        active_only: bool = False,
+    ) -> "DistributionBlock":
+        """Sort and stack one sample array per host.
+
+        With ``active_only`` a host's distribution keeps only its positive
+        samples — the tail of its sorted row, since counts are
+        non-negative — and a host with none keeps every sample.
+        """
+        require(len(samples) > 0, "a block needs at least one host")
+        lengths = np.array([len(values) for values in samples], dtype=np.intp)
+        width = int(lengths.max())
+        # Pad short rows at the front with -inf: it sorts before every
+        # sample, so each host's samples stay the tail of its row.
+        rows = np.full((len(samples), width), -np.inf)
+        for row, values in zip(rows, samples, strict=True):
+            row[width - len(values):] = values
+        padding = np.arange(width)[None, :] < (width - lengths)[:, None]
+        if not bool(np.all(np.isfinite(rows) | padding)):
+            raise ValidationError("samples must be finite")
+        rows.sort(axis=1)
+        counts = lengths
+        if active_only:
+            active = np.count_nonzero(rows > 0, axis=1)
+            counts = np.where(active > 0, active, lengths)
+        return cls(host_ids, rows, counts, bin_widths)
+
+    @classmethod
+    def stack(cls, distributions: Mapping[int, EmpiricalDistribution]) -> "DistributionBlock":
+        """``distributions`` as a block (returned unchanged when it already is one)."""
+        if isinstance(distributions, DistributionBlock):
+            return distributions
+        require(len(distributions) > 0, "a block needs at least one host")
+        for distribution in distributions.values():
+            distribution._require_samples()
+        return cls.from_samples(
+            list(distributions),
+            [distribution._sorted for distribution in distributions.values()],
+            [distribution.bin_width for distribution in distributions.values()],
+        )
+
+    # ---------------------------------------------------------------- mapping
+    def __getitem__(self, host_id: int) -> EmpiricalDistribution:
+        row = self._index[host_id]
+        return EmpiricalDistribution._of_sorted(
+            self._rows[row, self._rows.shape[1] - self._counts[row]:], self._bin_widths[row]
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._host_ids)
+
+    def __len__(self) -> int:
+        return len(self._host_ids)
+
+    def __contains__(self, host_id: object) -> bool:
+        return host_id in self._index
+
+    # ---------------------------------------------------------------- columns
+    @property
+    def host_ids(self) -> tuple:
+        """Hosts in row order."""
+        return self._host_ids
+
+    def percentiles(self, qs) -> np.ndarray:
+        """Every host's percentiles ``qs`` (in [0, 100]) as ``(hosts, len(qs))``."""
+        values = np.asarray(qs, dtype=float).ravel()
+        require(bool(np.all((values >= 0.0) & (values <= 100.0))), "percentile q must be in [0, 100]")
+        return tail_percentiles(self._rows, self._counts, values)
+
+    def percentile(self, q: float) -> np.ndarray:
+        """Every host's ``q``-th percentile, in row order."""
+        return self.percentiles([q])[:, 0]
+
+    def maxima(self) -> np.ndarray:
+        """Every host's largest sample, in row order."""
+        return self._rows[:, -1]
+
+    def subset(self, host_ids: Sequence[int]) -> "DistributionBlock":
+        """The block restricted to ``host_ids`` (rows copied, in that order)."""
+        rows = [self._index[host_id] for host_id in host_ids]
+        return DistributionBlock(
+            host_ids,
+            self._rows[rows],
+            self._counts[rows],
+            [self._bin_widths[row] for row in rows],
+        )

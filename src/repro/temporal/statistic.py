@@ -40,7 +40,7 @@ def _pooled_quantiles(
 ) -> np.ndarray:
     values = np.concatenate(
         [
-            np.asarray(matrix.week_range(start_week, end_week).series(feature).values)
+            np.asarray(matrix.series(feature).week_range(start_week, end_week).values)
             for matrix in matrices.values()
         ]
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -691,3 +692,76 @@ class TestCheckMetrics:
         code = check_metrics.main([str(path), "--skip-smoke"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- check_perfbench
+check_perfbench = load_script("ci_checks/check_perfbench.py")
+
+
+def perfbench_stdout(correct=True, failed=0, attempted=12):
+    """What perfbench/run.py prints: a table, then the JSON result line."""
+    result = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {}}
+    return "paper-figures (seed 2009, untraced):\n  table...\n" + json.dumps(result) + "\n"
+
+
+def fake_run(stdout, returncode=0, seen=None):
+    """A stand-in for running one workload: records it and returns ``stdout``."""
+
+    def run(workload):
+        if seen is not None:
+            seen.append(workload)
+        return subprocess.CompletedProcess(
+            check_perfbench.command(workload), returncode, stdout=stdout, stderr="trace"
+        )
+
+    return run
+
+
+class TestCheckPerfbench:
+    def test_command_runs_a_short_untraced_seed_2009_run(self):
+        args = check_perfbench.command("retrain-campaign")
+        assert args[1].endswith("perfbench/run.py")
+        assert args[2:] == [
+            "--workload", "retrain-campaign", "--seed", "2009", "--seconds", "3", "--trace", "0"
+        ]
+
+    def test_correct_run_passes(self):
+        assert check_perfbench.check_output("paper-figures", 0, perfbench_stdout()) == []
+
+    def test_mismatched_outputs_fail(self):
+        errors = check_perfbench.check_output(
+            "paper-figures", 0, perfbench_stdout(correct=False, failed=3)
+        )
+        assert any("do not match" in error for error in errors)
+        assert any("3 of 12" in error for error in errors)
+
+    def test_failed_operations_fail_even_when_correct(self):
+        errors = check_perfbench.check_output("x", 0, perfbench_stdout(correct=True, failed=1))
+        assert errors == ["x: 1 of 12 operation(s) failed"]
+
+    @pytest.mark.parametrize(
+        ("returncode", "stdout", "message"),
+        [
+            (1, perfbench_stdout(), "exited with status 1"),
+            (0, "", "printed nothing"),
+            (0, "table only\n", "not a JSON result"),
+            (0, "[1, 2]\n", "not a JSON object"),
+        ],
+    )
+    def test_broken_runs_fail(self, returncode, stdout, message):
+        (error,) = check_perfbench.check_output("x", returncode, stdout)
+        assert message in error
+
+    def test_main_checks_every_workload(self, capsys):
+        seen = []
+        assert check_perfbench.main(run=fake_run(perfbench_stdout(), seen=seen)) == 0
+        assert seen == list(check_perfbench.WORKLOADS)
+        assert "OK: 3 workload(s)" in capsys.readouterr().out
+
+    def test_main_fails_on_a_mismatch(self, capsys):
+        run = fake_run(perfbench_stdout(correct=False, failed=2))
+        assert check_perfbench.main(run=run) == 1
+        err = capsys.readouterr().err
+        for workload in check_perfbench.WORKLOADS:
+            assert f"check_perfbench: FAIL: {workload}" in err
+        assert "trace" in err

@@ -22,12 +22,14 @@ import pytest
 from repro.attacks.mimicry import hidden_traffic_by_host
 from repro.core.evaluation import (
     DetectionProtocol,
+    HostPerformance,
     detection_training_distributions,
     evaluate_policy,
     measure_assignment,
     training_distributions,
 )
 from repro.core.fusion import FusionRule
+from repro.core.metrics import OperatingPoint
 from repro.core.policies import (
     FullDiversityPolicy,
     HomogeneousPolicy,
@@ -151,6 +153,53 @@ class TestGoldenBitIdentity:
         for name, values in result.hidden_traffic.items():
             actual = {str(h): repr(float(v)) for h, v in sorted(values.items())}
             assert actual == golden["fig4"]["hidden_traffic"][name]
+
+
+def _golden_performance(host_id: int, payload: dict) -> HostPerformance:
+    """The eager per-host object the fixture's payload describes."""
+    features = [Feature(name) for name in payload["thresholds"]]
+    return HostPerformance(
+        host_id=host_id,
+        thresholds={f: float(payload["thresholds"][f.value]) for f in features},
+        feature_operating_points={
+            f: OperatingPoint(
+                false_positive_rate=float(payload["feature_fp"][f.value]),
+                false_negative_rate=float(payload["feature_fn"][f.value]),
+            )
+            for f in features
+        },
+        feature_false_alarm_counts={f: payload["feature_counts"][f.value] for f in features},
+        operating_point=OperatingPoint(
+            false_positive_rate=float(payload["fp"]), false_negative_rate=float(payload["fn"])
+        ),
+        false_alarm_count=payload["false_alarm_count"],
+        alarm_raised=payload["alarm_raised"],
+        feature_alarm_raised={f: payload["feature_alarm"][f.value] for f in features},
+    )
+
+
+class TestColumnarHostObjects:
+    """A host looked up in the columnar result equals the old eager object."""
+
+    @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
+    @pytest.mark.parametrize("attack_name", list(ATTACKS))
+    def test_every_case_field_for_field(self, golden, matrices, proto_name, attack_name):
+        protocol = PROTOCOLS[proto_name]
+        builder = ATTACKS[attack_name].build_builder(protocol.primary_feature, CONFIG.bin_width)
+        for policy_name, policy in _policies().items():
+            performances = evaluate_policy(
+                matrices, policy, protocol, attack_builder=builder
+            ).performances
+            expected = golden["cases"][f"{proto_name}/{attack_name}/{policy_name}"]
+            assert sorted(performances) == sorted(int(host) for host in expected)
+            for host, payload in expected.items():
+                actual = performances[int(host)]
+                assert actual == _golden_performance(int(host), payload)
+                assert all(type(value) is float for value in actual.thresholds.values())
+                assert type(actual.false_alarm_count) is int
+                assert all(
+                    type(count) is int for count in actual.feature_false_alarm_counts.values()
+                )
 
 
 def _measured(matrices, assignment, protocol, builder=None, **kwargs) -> dict:
