@@ -46,11 +46,15 @@ from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint, utility_a
 from repro.core.policies import ConfigurationPolicy, DetectionAssignment
 from repro.core.thresholds import DEFAULT_PERCENTILE
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix, TimeSeries, require_shared_bin_grid
+from repro.features.timeseries import (
+    FeatureMatrix,
+    TimeSeries,
+    require_shared_bin_grid,
+    week_bins,
+)
 from repro.stats.empirical import DistributionBlock, EmpiricalDistribution
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.telemetry import add_count, trace_span
-from repro.utils.timeutils import WEEK
 from repro.utils.validation import require, require_probability
 
 logger = logging.getLogger(__name__)
@@ -453,9 +457,8 @@ class PolicyEvaluation:
         return int(np.sum(self.performances.fused.false_alarm_counts))
 
     def false_alarms_per_week(self) -> float:
-        """False alarms normalised to one week (the test window is one week)."""
-        duration = WEEK
-        return self.total_false_alarms() * (WEEK / duration)
+        """Total false alarms over the test window, which is one week long."""
+        return float(self.total_false_alarms())
 
     def fraction_raising_alarm(self) -> float:
         """Fraction of hosts whose fused alarm fired on at least one attacked bin.
@@ -695,14 +698,6 @@ def measure_assignment(
         )
 
 
-def _week_slice_bounds(series: TimeSeries, week: int) -> Tuple[int, int]:
-    """The [first, last) bin indices :meth:`TimeSeries.week` would slice."""
-    spec = series.bin_spec
-    first = max(spec.index_of(week * WEEK), 0)
-    last = min(spec.index_of((week + 1) * WEEK - 1e-9) + 1, series.num_bins)
-    return first, last
-
-
 def _threshold_vector(assignment, feature: Feature, host_ids: Sequence[int]) -> np.ndarray:
     """Per-host thresholds of ``feature`` as a ``(num_hosts,)`` vector."""
     per_feature = assignment.for_feature(feature)
@@ -780,10 +775,9 @@ def _measure_week(
     """
     host_ids = list(matrices)
     reference = matrices[host_ids[0]].series(features[0])
-    # Trigger the out-of-range week validation once; the grid is shared,
-    # so one host's validation covers them all.
-    reference.week(week)
-    first, last = _week_slice_bounds(reference, week)
+    # The grid is shared, so one host's bounds (and range check) cover them all.
+    bins = week_bins(reference.bin_spec, reference.num_bins, week, week + 1)
+    first, last = bins.start, bins.stop
     num_bins = last - first
     bin_spec = reference.bin_spec
 

@@ -357,7 +357,7 @@ def evaluate_scenario(
     out.  ``population`` may be a fully in-memory
     :class:`~repro.workload.enterprise.EnterprisePopulation` or a
     :class:`~repro.engine.ShardedPopulation` — any object exposing
-    ``host_ids`` and ``matrices()``.
+    ``host_ids``, ``matrices()`` and ``matrices_for()``.
 
     An enabled ``sample`` evaluates a seeded host subsample instead of the
     full population and adds a bootstrap confidence interval to the outcome.
@@ -378,11 +378,7 @@ def _scenario_matrices(
     if sample is None or not sample.enabled:
         return population.matrices()
     chosen = sample_host_ids(population.host_ids, sample.size, sample.seed)
-    subset = getattr(population, "matrices_for", None)
-    if subset is not None:
-        return subset(chosen)
-    matrices = population.matrices()
-    return {host_id: matrices[host_id] for host_id in chosen}
+    return population.matrices_for(chosen)
 
 
 class PolicyComparison:

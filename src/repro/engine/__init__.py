@@ -27,15 +27,13 @@ from repro.engine.engine import (
 )
 from repro.engine.serialization import (
     POPULATION_FORMAT_VERSION,
-    read_population,
-    write_population,
+    read_manifest,
+    write_population_sharded,
 )
 from repro.engine.sharded import (
     DEFAULT_HOSTS_PER_SHARD,
     DEFAULT_MAX_RESIDENT_SHARDS,
     ShardedPopulation,
-    read_manifest,
-    write_population_sharded,
 )
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "PopulationCache",
     "population_cache_key",
     "resolve_cache_dir",
-    "read_population",
-    "write_population",
     "ShardedPopulation",
     "write_population_sharded",
     "read_manifest",

@@ -28,10 +28,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, PopulationCache, resolve_cache_dir
-from repro.features.timeseries import FeatureMatrix
 from repro.telemetry import add_count, child_recorder, get_recorder, monotonic_now, trace_span
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ValidationError, require
@@ -41,7 +42,7 @@ from repro.workload.enterprise import (
     build_population_events,
     generate_host,
 )
-from repro.workload.profiles import HostProfile, UserRole
+from repro.workload.profiles import HostProfile, HostProfileTable, UserRole
 
 logger = logging.getLogger(__name__)
 
@@ -72,39 +73,55 @@ def default_worker_count() -> int:
 
 def _generate_host_chunk(
     config: EnterpriseConfig,
-    host_ids: Sequence[int],
+    host_ids: range,
     roles: Mapping[int, UserRole],
-) -> List[Tuple[int, HostProfile, FeatureMatrix]]:
-    """Worker entry point: generate a batch of hosts from scratch.
+) -> EnterprisePopulation:
+    """Generate a contiguous range of hosts from scratch, as one population block.
 
+    The one generation path: the serial engine generates every host as one
+    chunk, pool workers one chunk each, and a sharded population one shard.
     Reconstructs the population-level random source and event schedule from
-    the configuration, so the only state shipped to the worker is the config
-    and the host ids.
+    the configuration, so the only state shipped to a worker is the config
+    and the host range.  Each host's arrays are copied into the chunk block
+    as soon as they are drawn.
     """
     random_source = RandomSource(seed=config.seed, label="enterprise")
     events = build_population_events(config)
-    results: List[Tuple[int, HostProfile, FeatureMatrix]] = []
+    block: Optional[np.ndarray] = None
+    profiles: List[HostProfile] = []
     with trace_span("engine.generate_chunk", num_hosts=len(host_ids)):
-        for host_id in host_ids:
+        for row, host_id in enumerate(host_ids):
             profile, matrix = generate_host(
                 config, host_id, random_source, events, role=roles.get(host_id)
             )
-            results.append((host_id, profile, matrix))
+            if block is None:
+                features = matrix.features
+                bin_spec = matrix.series(features[0]).bin_spec
+                block = np.empty((len(host_ids), len(features), matrix.num_bins))
+            require(
+                matrix.features == features and matrix.num_bins == block.shape[2],
+                "populations require a uniform feature set and bin grid",
+            )
+            for column, feature in enumerate(features):
+                block[row, column] = matrix.series(feature).values
+            profiles.append(profile)
     # Counted here — inside the worker for parallel runs, inline for serial
     # ones — so parallel and serial counter totals match bit for bit.
-    add_count("engine.hosts_generated", len(results))
-    return results
+    add_count("engine.hosts_generated", len(host_ids))
+    return EnterprisePopulation(
+        config, host_ids, block, features, bin_spec, HostProfileTable.of(profiles)
+    )
 
 
 def _generate_host_chunk_task(
     config: EnterpriseConfig,
-    host_ids: Sequence[int],
+    host_ids: range,
     roles: Mapping[int, UserRole],
-) -> Tuple[List[Tuple[int, HostProfile, FeatureMatrix]], Dict[str, Any]]:
+) -> Tuple[EnterprisePopulation, Dict[str, Any]]:
     """Pool entry point: a host chunk plus the worker's telemetry snapshot."""
     with child_recorder() as recorder:
-        results = _generate_host_chunk(config, host_ids, roles)
-    return results, recorder.snapshot()
+        chunk = _generate_host_chunk(config, host_ids, roles)
+    return chunk, recorder.snapshot()
 
 
 @dataclass(frozen=True)
@@ -275,14 +292,9 @@ class PopulationEngine:
             span.set(cache_hit=False)
             workers = self._effective_workers(config.num_hosts)
             if workers > 1:
-                profiles, matrices, workers = self._generate_parallel(
-                    config, roles or {}, workers
-                )
+                population, workers = self._generate_parallel(config, roles or {}, workers)
             else:
-                profiles, matrices = self._generate_serial(config, roles or {})
-            population = EnterprisePopulation(
-                config=config, profiles=profiles, matrices=matrices
-            )
+                population = _generate_host_chunk(config, range(config.num_hosts), roles or {})
 
             cache_path: Optional[str] = None
             if self._cache is not None:
@@ -352,63 +364,49 @@ class PopulationEngine:
             return 1
         return min(self._workers, num_hosts)
 
-    def _generate_serial(
-        self, config: EnterpriseConfig, roles: Mapping[int, UserRole]
-    ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
-        results = _generate_host_chunk(config, range(config.num_hosts), roles)
-        return self._merge_results(results)
-
     def _generate_parallel(
         self,
         config: EnterpriseConfig,
         roles: Mapping[int, UserRole],
         workers: int,
-    ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix], int]:
+    ) -> Tuple[EnterprisePopulation, int]:
         """Fan host chunks out across a process pool.
 
-        Returns the merged results plus the worker count actually used: any
-        pool failure (construction, spawning, a broken pool mid-flight — the
-        kinds of errors restricted environments raise) falls back to serial
-        generation, which is bit-identical anyway, and reports ``1``.
+        Each chunk is copied into the population block as its result
+        arrives.  Returns the population plus the worker count actually
+        used: any pool failure (construction, spawning, a broken pool
+        mid-flight — the kinds of errors restricted environments raise)
+        falls back to serial generation, which is bit-identical anyway, and
+        reports ``1``.
         """
         chunks = _chunk_host_ids(config.num_hosts, workers)
         recorder = get_recorder()
+
+        def arrivals(futures) -> Iterator[EnterprisePopulation]:
+            for future in futures:
+                chunk, telemetry = future.result()
+                if recorder.enabled:
+                    recorder.merge(telemetry)
+                yield chunk
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 futures = [
                     executor.submit(_generate_host_chunk_task, config, chunk, dict(roles))
                     for chunk in chunks
                 ]
-                results: List[Tuple[int, HostProfile, FeatureMatrix]] = []
-                for future in futures:
-                    chunk_results, telemetry = future.result()
-                    results.extend(chunk_results)
-                    if recorder.enabled:
-                        recorder.merge(telemetry)
+                population = EnterprisePopulation.concatenate(config, arrivals(futures))
         except (OSError, BrokenProcessPool, AssertionError):
             # OSError: no process spawning / shared memory; BrokenProcessPool:
             # workers died without a result; AssertionError is what daemonic
             # processes raise on child creation.  Worker-level generation
             # errors (ValidationError etc.) propagate — retrying them
             # serially would just raise the same error more slowly.
-            profiles, matrices = self._generate_serial(config, roles)
-            return profiles, matrices, 1
-        profiles, matrices = self._merge_results(results)
-        return profiles, matrices, workers
-
-    @staticmethod
-    def _merge_results(
-        results: Sequence[Tuple[int, HostProfile, FeatureMatrix]],
-    ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
-        profiles: Dict[int, HostProfile] = {}
-        matrices: Dict[int, FeatureMatrix] = {}
-        for host_id, profile, matrix in sorted(results, key=lambda item: item[0]):
-            profiles[host_id] = profile
-            matrices[host_id] = matrix
-        return profiles, matrices
+            return _generate_host_chunk(config, range(config.num_hosts), roles), 1
+        return population, workers
 
 
-def _chunk_host_ids(num_hosts: int, workers: int) -> List[List[int]]:
+def _chunk_host_ids(num_hosts: int, workers: int) -> List[range]:
     """Split host ids into roughly even contiguous chunks, several per worker.
 
     Over-splitting (4 chunks per worker) keeps the pool busy when some chunks
@@ -417,6 +415,6 @@ def _chunk_host_ids(num_hosts: int, workers: int) -> List[List[int]]:
     num_chunks = min(max(workers * 4, 1), num_hosts)
     chunk_size = -(-num_hosts // num_chunks)
     return [
-        list(range(start, min(start + chunk_size, num_hosts)))
+        range(start, min(start + chunk_size, num_hosts))
         for start in range(0, num_hosts, chunk_size)
     ]

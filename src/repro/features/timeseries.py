@@ -19,6 +19,27 @@ from repro.utils.timeutils import BinSpec, WEEK
 from repro.utils.validation import ValidationError, require
 
 
+def week_bins(bin_spec: BinSpec, num_bins: int, start: int, end: int) -> slice:
+    """The bins of weeks ``[start, end)`` on a grid of ``num_bins`` bins.
+
+    Raises :class:`ValueError` naming the available range when the window
+    runs past the covered span: a silently truncated (or empty) slice would
+    train on fewer weeks than the caller asked for.
+    """
+    require(start >= 0, "week index must be non-negative")
+    require(end > start, "week range must cover at least one week")
+    first = max(bin_spec.index_of(start * WEEK), 0)
+    last = min(bin_spec.index_of(end * WEEK - 1e-9) + 1, num_bins)
+    available = num_bins * bin_spec.width / WEEK
+    last_week = max(int(np.ceil(available)) - 1, 0)
+    if last <= first or end > last_week + 1:
+        raise ValueError(
+            f"week range [{start}, {end}) is out of range: series covers "
+            f"{available:.2f} week(s) (valid week indices are 0..{last_week})"
+        )
+    return slice(first, last)
+
+
 class TimeSeries:
     """A fixed-width binned count series for one feature on one host."""
 
@@ -106,20 +127,9 @@ class TimeSeries:
         weeks 2 and 3 back to back.  Out-of-range windows raise a
         :class:`ValueError` naming the available range.
         """
-        require(start >= 0, "week index must be non-negative")
-        require(end > start, "week range must cover at least one week")
-        sliced = self.slice_time(start * WEEK, end * WEEK)
-        available = self.duration / WEEK
-        last = max(int(np.ceil(available)) - 1, 0)
-        # A window whose end runs past the covered span would otherwise come
-        # back silently truncated (or empty) — training on fewer weeks than
-        # the caller asked for.
-        if sliced.num_bins == 0 or end > last + 1:
-            raise ValueError(
-                f"week range [{start}, {end}) is out of range: series covers "
-                f"{available:.2f} week(s) (valid week indices are 0..{last})"
-            )
-        return sliced
+        return TimeSeries._wrap(
+            self._values[week_bins(self._bin_spec, self.num_bins, start, end)], self._bin_spec
+        )
 
     def num_weeks(self) -> int:
         """Number of whole weeks covered by the series."""

@@ -48,9 +48,7 @@ SPAN_NAMES = (
     "core.evaluate",
     "core.measure",
     "core.train",
-    "engine.cache.deserialize",
     "engine.cache.read",
-    "engine.cache.serialize",
     "engine.cache.write",
     "engine.generate",
     "engine.generate_chunk",

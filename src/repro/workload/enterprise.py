@@ -1,30 +1,36 @@
 """Enterprise population builder.
 
 Builds the 350-host, multi-week synthetic population that stands in for the
-paper's proprietary traces, and exposes it as a mapping from host id to
-:class:`~repro.features.timeseries.FeatureMatrix`.  Generation is fully
-deterministic given the seed.
+paper's proprietary traces.  A population is one ``(hosts, features, bins)``
+float64 block plus a profile table; per-host
+:class:`~repro.features.timeseries.FeatureMatrix` views are built on demand.
+Generation is fully deterministic given the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
-from repro.stats.empirical import EmpiricalDistribution
+from repro.features.timeseries import FeatureMatrix, TimeSeries, week_bins
+from repro.stats.empirical import DistributionBlock, EmpiricalDistribution
 from repro.utils.rng import RandomSource
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import ValidationError, require, require_positive
 from repro.workload.diurnal import ActivityModel, always_on_pattern, office_worker_pattern
 from repro.workload.drift import DriftModel
 from repro.workload.events import ScheduledEvent, build_maintenance_events
 from repro.workload.generator import HostSeriesGenerator
 from repro.workload.mobility import MobilityModel
-from repro.workload.profiles import HostProfile, UserRole, sample_host_profile
+from repro.workload.profiles import (
+    HostProfile,
+    HostProfileTable,
+    UserRole,
+    sample_host_profile,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine import PopulationEngine
@@ -80,19 +86,75 @@ class EnterpriseConfig:
 
 
 class EnterprisePopulation:
-    """The generated population: host profiles plus per-host feature matrices."""
+    """The generated population: one ``(hosts, features, bins)`` block plus profiles.
+
+    Host ids are the contiguous range ``host_ids``; row ``i`` of the
+    read-only float64 ``block`` and of the profile table belong to host
+    ``host_ids[i]``, and column ``j`` to ``features[j]``.  Per-host
+    :class:`FeatureMatrix` and :class:`HostProfile` objects are built on
+    first access and cached, so a caller that reads a handful of hosts never
+    builds objects for the rest, and population-wide statistics read the
+    block directly.
+    """
 
     def __init__(
         self,
         config: EnterpriseConfig,
-        profiles: Mapping[int, HostProfile],
-        matrices: Mapping[int, FeatureMatrix],
+        host_ids: range,
+        block: np.ndarray,
+        features: Tuple[Feature, ...],
+        bin_spec: BinSpec,
+        profiles: HostProfileTable,
     ) -> None:
-        require(set(profiles) == set(matrices), "profiles and matrices must cover the same hosts")
-        require(len(profiles) > 0, "population must contain at least one host")
+        require(len(host_ids) > 0, "population must contain at least one host")
+        require(
+            block.ndim == 3 and block.shape[:2] == (len(host_ids), len(features)),
+            "the block must be (hosts, features, bins)",
+        )
+        require(len(profiles) == len(host_ids), "one profile per host is required")
+        block.flags.writeable = False
         self._config = config
-        self._profiles = dict(profiles)
-        self._matrices = dict(matrices)
+        self._first = host_ids.start
+        self._host_ids = tuple(host_ids)
+        self._block = block
+        self._features = tuple(features)
+        self._columns = {feature: column for column, feature in enumerate(self._features)}
+        self._bin_spec = bin_spec
+        self._profile_table = profiles
+        self._profiles: Dict[int, HostProfile] = {}
+        self._matrices: Dict[int, FeatureMatrix] = {}
+
+    @classmethod
+    def concatenate(
+        cls, config: EnterpriseConfig, parts: Iterable["EnterprisePopulation"]
+    ) -> "EnterprisePopulation":
+        """One population from ``parts``: contiguous host ranges, in host order.
+
+        Each part's block is copied into a preallocated population block as
+        the part arrives, so a caller that yields parts one at a time never
+        holds every part and the whole block at once.
+        """
+        block: Optional[np.ndarray] = None
+        tables: List[HostProfileTable] = []
+        filled = 0
+        for part in parts:
+            if block is None:
+                features, bin_spec = part.features, part.bin_spec
+                block = np.empty((config.num_hosts,) + part.block.shape[1:])
+            require(
+                part.features == features
+                and part.bin_spec == bin_spec
+                and part.block.shape[1:] == block.shape[1:],
+                "populations require a uniform feature set and bin grid",
+            )
+            require(part.host_ids[0] == filled, "parts must cover contiguous host ranges in order")
+            block[filled : filled + len(part)] = part.block
+            filled += len(part)
+            tables.append(part.profile_table)
+        require(block is not None and filled == len(block), "parts must cover every host")
+        return cls(
+            config, range(filled), block, features, bin_spec, HostProfileTable.concatenate(tables)
+        )
 
     # ----------------------------------------------------------------- basic
     @property
@@ -102,46 +164,103 @@ class EnterprisePopulation:
 
     @property
     def host_ids(self) -> Tuple[int, ...]:
-        """Sorted host identifiers."""
-        return tuple(sorted(self._matrices))
+        """Host identifiers, ascending and contiguous."""
+        return self._host_ids
+
+    @property
+    def block(self) -> np.ndarray:
+        """Every host's bins as a read-only ``(hosts, features, bins)`` array."""
+        return self._block
+
+    @property
+    def features(self) -> Tuple[Feature, ...]:
+        """The features, in block column order."""
+        return self._features
+
+    @property
+    def bin_spec(self) -> BinSpec:
+        """The bin grid every host shares."""
+        return self._bin_spec
+
+    @property
+    def profile_table(self) -> HostProfileTable:
+        """The profiles as records, one row per host."""
+        return self._profile_table
 
     def __len__(self) -> int:
-        return len(self._matrices)
+        return len(self._host_ids)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.host_ids)
+        return iter(self._host_ids)
+
+    def _row(self, host_id: int) -> int:
+        row = host_id - self._first
+        if not 0 <= row < len(self._host_ids):
+            raise KeyError(host_id)
+        return row
 
     def profile(self, host_id: int) -> HostProfile:
         """Profile of ``host_id``."""
-        return self._profiles[host_id]
+        profile = self._profiles.get(host_id)
+        if profile is None:
+            profile = self._profile_table[self._row(host_id)]
+            self._profiles[host_id] = profile
+        return profile
 
     def matrix(self, host_id: int) -> FeatureMatrix:
-        """Feature matrix of ``host_id``."""
-        return self._matrices[host_id]
+        """Feature matrix of ``host_id``: views of its block row."""
+        matrix = self._matrices.get(host_id)
+        if matrix is None:
+            values = self._block[self._row(host_id)]
+            # Bins were validated (non-negative) when generated, and a cache
+            # load re-checks its block, so rows are wrapped without a scan.
+            matrix = FeatureMatrix(
+                host_id=host_id,
+                series={
+                    feature: TimeSeries._wrap(values[column], self._bin_spec)
+                    for feature, column in self._columns.items()
+                },
+            )
+            self._matrices[host_id] = matrix
+        return matrix
 
     def matrices(self) -> Dict[int, FeatureMatrix]:
-        """All feature matrices keyed by host id (shallow copy)."""
-        return dict(self._matrices)
+        """All feature matrices keyed by host id."""
+        return self.matrices_for(self._host_ids)
+
+    def matrices_for(self, host_ids: Sequence[int]) -> Dict[int, FeatureMatrix]:
+        """Feature matrices for ``host_ids`` only, in that order."""
+        return {host_id: self.matrix(host_id) for host_id in host_ids}
 
     # ------------------------------------------------------------- transforms
     def week(self, index: int) -> "EnterprisePopulation":
-        """Population restricted to week ``index`` (0-based)."""
+        """Population restricted to week ``index`` (0-based): a view, no copy."""
+        bins = week_bins(self._bin_spec, self._block.shape[2], index, index + 1)
         return EnterprisePopulation(
             self._config,
-            self._profiles,
-            {host_id: matrix.week(index) for host_id, matrix in self._matrices.items()},
+            range(self._first, self._first + len(self)),
+            self._block[:, :, bins],
+            self._features,
+            self._bin_spec,
+            self._profile_table,
         )
 
-    def feature_values(self, feature: Feature) -> Dict[int, np.ndarray]:
-        """Per-host per-bin values of ``feature``."""
-        return {host_id: matrix.series(feature).values for host_id, matrix in self._matrices.items()}
+    def column(self, feature: Feature) -> np.ndarray:
+        """Every host's bins of ``feature`` as a ``(hosts, bins)`` view."""
+        return self._block[:, self._columns[feature]]
 
-    def distributions(self, feature: Feature) -> Dict[int, EmpiricalDistribution]:
+    def distributions(self, feature: Feature) -> DistributionBlock:
         """Per-host empirical distribution of ``feature``."""
-        return {
-            host_id: matrix.series(feature).distribution()
-            for host_id, matrix in self._matrices.items()
-        }
+        rows = np.sort(self.column(feature), axis=1)
+        # Counts are non-negative, so a non-finite value sorts last.
+        if not bool(np.all(np.isfinite(rows[:, -1]))):
+            raise ValidationError("samples must be finite")
+        return DistributionBlock(
+            self._host_ids,
+            rows,
+            np.full(len(self), rows.shape[1]),
+            [self._bin_spec.width] * len(self),
+        )
 
     def pooled_distribution(self, feature: Feature) -> EmpiricalDistribution:
         """The global (pooled across hosts) distribution of ``feature``.
@@ -149,14 +268,12 @@ class EnterprisePopulation:
         This is what the central console computes under the homogeneous
         (monoculture) policy.
         """
-        return EmpiricalDistribution.pooled(list(self.distributions(feature).values()))
+        return EmpiricalDistribution(self.column(feature).ravel(), bin_width=self._bin_spec.width)
 
     def per_host_percentiles(self, feature: Feature, q: float) -> Dict[int, float]:
         """Per-host ``q``-th percentile of ``feature`` (full-diversity thresholds)."""
-        return {
-            host_id: matrix.series(feature).percentile(q)
-            for host_id, matrix in self._matrices.items()
-        }
+        percentiles = self.distributions(feature).percentile(q).tolist()
+        return dict(zip(self._host_ids, percentiles, strict=True))
 
     def max_observed(self, feature: Feature) -> float:
         """Maximum per-bin value of ``feature`` across all hosts.
@@ -164,7 +281,7 @@ class EnterprisePopulation:
         The paper uses this as the largest attack size worth simulating: any
         attack bigger than the largest benign value stands out on every host.
         """
-        return max(matrix.series(feature).max() for matrix in self._matrices.values())
+        return float(np.max(self.column(feature)))
 
 
 def build_population_events(config: EnterpriseConfig) -> List[ScheduledEvent]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -240,3 +240,117 @@ def sample_host_profile(
         intensities=intensities,
         is_laptop=bool(rng.uniform() < laptop_fraction),
     )
+
+
+#: Role and feature codes of a stored profile: the index into these tuples.
+ROLE_ORDER = tuple(UserRole)
+FEATURE_ORDER = PAPER_FEATURES
+
+#: One host's fixed-size profile record and one feature-intensity record,
+#: packed exactly as a population file lays them out (a host record, then
+#: ``num_intensities`` intensity records).
+HOST_RECORD = np.dtype(
+    [
+        ("host_id", "<u4"),
+        ("role", "u1"),
+        ("is_laptop", "u1"),
+        ("master_intensity", "<f8"),
+        ("num_intensities", "u1"),
+    ]
+)
+INTENSITY_RECORD = np.dtype(
+    [
+        ("feature", "u1"),
+        ("scale", "<f8"),
+        ("body_sigma", "<f8"),
+        ("burst_probability", "<f8"),
+        ("burst_alpha", "<f8"),
+    ]
+)
+
+
+class HostProfileTable:
+    """A population's profiles as records; row ``i`` builds host ``i``'s profile.
+
+    ``hosts`` holds one :data:`HOST_RECORD` per host and ``intensities`` every
+    host's :data:`INTENSITY_RECORD` rows back to back, in host order, so a
+    table is written to and read from a population file without a per-host
+    object.  :class:`HostProfile` objects are built only when a row is read.
+    """
+
+    def __init__(self, hosts: np.ndarray, intensities: np.ndarray) -> None:
+        self.hosts = hosts
+        self.intensities = intensities
+        #: Host ``i``'s intensities are ``intensities[bounds[i]:bounds[i + 1]]``.
+        self.bounds = np.zeros(len(hosts) + 1, dtype=np.int64)
+        np.cumsum(hosts["num_intensities"], out=self.bounds[1:])
+
+    @classmethod
+    def of(cls, profiles: Sequence[HostProfile]) -> "HostProfileTable":
+        """The table of ``profiles``, in order."""
+        hosts = np.array(
+            [
+                (
+                    profile.host_id,
+                    ROLE_ORDER.index(profile.role),
+                    profile.is_laptop,
+                    profile.master_intensity,
+                    len(profile.intensities),
+                )
+                for profile in profiles
+            ],
+            dtype=HOST_RECORD,
+        )
+        intensities = np.array(
+            [
+                (
+                    FEATURE_ORDER.index(feature),
+                    intensity.scale,
+                    intensity.body_sigma,
+                    intensity.burst_probability,
+                    intensity.burst_alpha,
+                )
+                for profile in profiles
+                for feature, intensity in profile.intensities.items()
+            ],
+            dtype=INTENSITY_RECORD,
+        )
+        return cls(hosts, intensities)
+
+    @classmethod
+    def concatenate(cls, tables: Sequence["HostProfileTable"]) -> "HostProfileTable":
+        """The rows of ``tables``, one after another."""
+        if len(tables) == 1:
+            return tables[0]
+        return cls(
+            np.concatenate([table.hosts for table in tables]),
+            np.concatenate([table.intensities for table in tables]),
+        )
+
+    def rows(self, start: int, stop: int) -> "HostProfileTable":
+        """Rows ``[start, stop)`` as a table (views, no copy)."""
+        return HostProfileTable(
+            self.hosts[start:stop], self.intensities[self.bounds[start] : self.bounds[stop]]
+        )
+
+    def __len__(self) -> int:
+        return len(self.hosts)
+
+    def __getitem__(self, row: int) -> HostProfile:
+        host_id, role, is_laptop, master_intensity, _ = self.hosts[row].tolist()
+        records = self.intensities[self.bounds[row] : self.bounds[row + 1]].tolist()
+        return HostProfile(
+            host_id=host_id,
+            role=ROLE_ORDER[role],
+            master_intensity=master_intensity,
+            intensities={
+                FEATURE_ORDER[feature]: FeatureIntensity(
+                    scale=scale,
+                    body_sigma=body_sigma,
+                    burst_probability=burst_probability,
+                    burst_alpha=burst_alpha,
+                )
+                for feature, scale, body_sigma, burst_probability, burst_alpha in records
+            },
+            is_laptop=bool(is_laptop),
+        )

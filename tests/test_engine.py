@@ -1,6 +1,8 @@
-"""Tests for the population engine: determinism, caching, serialization."""
+"""Tests for the population engine: determinism, caching, the stored format."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -8,16 +10,43 @@ import pytest
 from repro.engine import (
     PopulationCache,
     PopulationEngine,
+    ShardedPopulation,
     population_cache_key,
-    read_population,
-    write_population,
 )
 from repro.engine.engine import _chunk_host_ids
+from repro.engine.serialization import _read_shard
 from repro.features.definitions import PAPER_FEATURES
-from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
+from repro.utils.validation import ValidationError
+from repro.workload.drift import DriftModel
+from repro.workload.enterprise import EnterpriseConfig, generate_enterprise, generate_host
 from repro.workload.profiles import UserRole
 
 CONFIG = EnterpriseConfig(num_hosts=70, num_weeks=2, seed=424)
+
+
+def _overwrite_last_bin(value):
+    """Corrupt a cache entry by replacing its value block's last bin."""
+
+    def corrupt(entry):
+        shard = entry / "shard-00000.rpsh"
+        blob = shard.read_bytes()
+        shard.write_bytes(blob[:-8] + struct.pack("<d", value))
+
+    return corrupt
+
+
+def _truncate_mid_block(entry):
+    shard = entry / "shard-00000.rpsh"
+    shard.write_bytes(shard.read_bytes()[:-4000])
+
+
+#: Ways to corrupt a cached population, each of which must read as a miss.
+CORRUPTIONS = {
+    "garbage-manifest": lambda entry: (entry / "manifest.json").write_bytes(b"garbage"),
+    "truncated-mid-block": _truncate_mid_block,
+    "negative-bin": _overwrite_last_bin(-1.0),
+    "nan-bin": _overwrite_last_bin(float("nan")),
+}
 
 
 def assert_populations_identical(left, right):
@@ -100,15 +129,38 @@ class TestCache:
         assert population_cache_key(CONFIG, roles={0: UserRole.RESEARCHER}) != base
         assert population_cache_key(EnterpriseConfig(num_hosts=70, num_weeks=2, seed=424)) == base
 
-    def test_corrupt_cache_file_is_a_miss(self, tmp_path):
-        cache = PopulationCache(tmp_path)
+    @pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+    def test_corrupt_cache_file_is_a_miss(self, tmp_path, corrupt):
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
         population = engine.generate(CONFIG)
-        cache.path_for(CONFIG).write_bytes(b"garbage")
-        assert cache.load(CONFIG) is None
+        corrupt(engine.cache.path_for(CONFIG))
+        assert engine.cache.load(CONFIG) is None
         regenerated = engine.generate(CONFIG)
         assert engine.last_report.cache_hit is False
         assert_populations_identical(population, regenerated)
+        # Regeneration rewrote the entry, which now loads bit-identically.
+        reloaded = engine.cache.load(CONFIG)
+        assert reloaded is not None
+        assert_populations_identical(population, reloaded)
+        np.testing.assert_array_equal(reloaded.block, population.block)
+
+    @pytest.mark.parametrize(
+        "sharded_first", [False, True], ids=["monolithic-first", "sharded-first"]
+    )
+    def test_monolithic_and_sharded_entries_share_a_directory(self, tmp_path, sharded_first):
+        config = EnterpriseConfig(num_hosts=40, num_weeks=2, seed=424)
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        if sharded_first:
+            sharded = engine.generate_sharded(config, hosts_per_shard=16).materialize()
+            monolithic = engine.generate(config)
+        else:
+            monolithic = engine.generate(config)
+            sharded = engine.generate_sharded(config, hosts_per_shard=16).materialize()
+        assert_populations_identical(monolithic, sharded)
+        assert engine.cache.entry_count() == 2
+        assert engine.cache.load(config) is not None
+        reopened = ShardedPopulation.open(engine.cache.sharded_path_for(config))
+        assert reopened.hosts_per_shard == 16
 
     def test_clear_removes_cached_populations(self, tmp_path):
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
@@ -168,13 +220,20 @@ class TestCache:
 
 class TestSerialization:
     def test_write_read_round_trip(self, tmp_path):
-        population = PopulationEngine(workers=1).generate(
-            EnterpriseConfig(num_hosts=12, num_weeks=2, seed=77)
+        config = EnterpriseConfig(
+            num_hosts=12,
+            num_weeks=2,
+            seed=77,
+            drift=DriftModel.from_kinds("role-churn", probability=0.5),
         )
-        path = tmp_path / "population.rpop"
-        write_population(path, population)
-        loaded = read_population(path)
+        population = PopulationEngine(workers=1).generate(config)
+        cache = PopulationCache(tmp_path)
+        path = cache.store(population)
+        assert path == cache.path_for(config) != cache.sharded_path_for(config)
+        loaded = cache.load(config)
+        assert loaded.config == config
         assert_populations_identical(population, loaded)
+        assert loaded.block.dtype == population.block.dtype == np.float64
         for host_id in population.host_ids:
             for feature in PAPER_FEATURES:
                 original = population.matrix(host_id).series(feature).values
@@ -182,9 +241,53 @@ class TestSerialization:
                 assert original.dtype == restored.dtype
 
     def test_bad_magic_rejected(self, tmp_path):
-        from repro.utils.validation import ValidationError
-
-        path = tmp_path / "bad.rpop"
+        path = tmp_path / "shard-00000.rpsh"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValidationError):
-            read_population(path)
+            _read_shard(path, range(1), CONFIG)
+
+
+class TestGenerationPaths:
+    def test_serial_parallel_and_sharded_blocks_are_equal(self):
+        serial = PopulationEngine(workers=1).generate(CONFIG)
+        parallel = PopulationEngine(workers=2, min_parallel_hosts=1).generate(CONFIG)
+        sharded = ShardedPopulation.generate(CONFIG, hosts_per_shard=16).materialize()
+        for other in (parallel, sharded):
+            np.testing.assert_array_equal(other.block, serial.block)
+            assert other.features == serial.features
+            assert other.bin_spec == serial.bin_spec
+
+    def test_profiles_equal_the_generated_ones(self):
+        population = PopulationEngine(workers=1).generate(CONFIG)
+        for host_id in (0, 17, 69):
+            expected, matrix = generate_host(CONFIG, host_id)
+            assert population.profile(host_id) == expected
+            for feature in matrix.features:
+                np.testing.assert_array_equal(
+                    population.matrix(host_id).series(feature).values,
+                    matrix.series(feature).values,
+                )
+
+    def test_week_is_a_view_of_the_block(self):
+        population = PopulationEngine(workers=1).generate(CONFIG)
+        week = population.week(1)
+        assert np.shares_memory(week.block, population.block)
+        assert not week.block.flags.writeable
+        for host_id in (0, 33, 69):
+            for feature in population.features:
+                np.testing.assert_array_equal(
+                    week.matrix(host_id).series(feature).values,
+                    population.matrix(host_id).week(1).series(feature).values,
+                )
+        with pytest.raises(ValueError, match="out of range"):
+            population.week(2)
+
+    def test_column_is_every_hosts_bins(self):
+        population = PopulationEngine(workers=1).generate(CONFIG)
+        for feature in population.features:
+            column = population.column(feature)
+            assert column.shape == (len(population), population.block.shape[2])
+            for host_id in (0, 69):
+                np.testing.assert_array_equal(
+                    column[host_id], population.matrix(host_id).series(feature).values
+                )

@@ -3,9 +3,8 @@
 The scale-out contract: a population cut into fixed-size host-range shards
 (``.rpopd`` directory, one mmap-backed ``.rpsh`` file per shard) must be
 indistinguishable — bit for bit — from the same configuration generated
-monolithically, whether the shards are loaded zero-copy via ``numpy.memmap``
-or read fully into memory, and a format-version bump must invalidate every
-cached layout rather than silently reading stale bytes.
+monolithically, and a format-version bump must invalidate every cached
+layout rather than silently reading stale bytes.
 """
 
 from __future__ import annotations
@@ -21,20 +20,20 @@ import pytest
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.policies import PartialDiversityPolicy
 from repro.engine import PopulationEngine, population_cache_key
-from repro.engine import sharded as sharded_module
 from repro.engine.cache import PopulationCache
-from repro.engine.serialization import _HOST_STRUCT, _INTENSITY_STRUCT
-from repro.engine.sharded import (
-    DEFAULT_HOSTS_PER_SHARD,
-    ShardedPopulation,
+from repro.engine.serialization import (
     _read_shard,
     _write_shard,
     read_manifest,
     write_population_sharded,
 )
+from repro.engine.sharded import DEFAULT_HOSTS_PER_SHARD, ShardedPopulation
 from repro.features.definitions import Feature
 from repro.utils.validation import ValidationError
-from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
+from repro.workload import enterprise as enterprise_module
+from repro.workload import profiles as profiles_module
+from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
+from repro.workload.profiles import HOST_RECORD, INTENSITY_RECORD, HostProfileTable
 
 CONFIG = EnterpriseConfig(num_hosts=30, num_weeks=2, seed=511)
 
@@ -72,16 +71,16 @@ def monolithic():
 
 
 # Byte offsets into a shard file: a 10-byte header, then host 0's record
-# (``_HOST_STRUCT``: id, role, laptop flag, master intensity), its intensity
-# count, and its first intensity record (feature index, then
-# ``_INTENSITY_STRUCT``: scale, body_sigma, burst_probability, burst_alpha).
+# (``HOST_RECORD``: id, role, laptop flag, master intensity, intensity
+# count) and its first intensity record (``INTENSITY_RECORD``: feature
+# index, scale, body_sigma, burst_probability, burst_alpha).
 _HOST0 = 10
 _ROLE = _HOST0 + 4
-_COUNT = _HOST0 + _HOST_STRUCT.size
-_INTENSITY0 = _COUNT + 1
+_COUNT = _HOST0 + HOST_RECORD.fields["num_intensities"][1]
+_INTENSITY0 = _HOST0 + HOST_RECORD.itemsize
 _SCALE = _INTENSITY0 + 1
 _BURST_PROBABILITY = _SCALE + 16
-assert _INTENSITY0 + 1 + _INTENSITY_STRUCT.size == _BURST_PROBABILITY + 16
+assert _INTENSITY0 + INTENSITY_RECORD.itemsize == _BURST_PROBABILITY + 16
 
 
 def _patch(offset, replacement):
@@ -175,9 +174,8 @@ class TestShardedEqualsMonolithic:
         shard_file = directory / "shard-00000.rpsh"
         original = shard_file.read_bytes()
         shard_file.write_bytes(corrupt(original))
-        for use_mmap in (True, False):
-            with pytest.raises(ValidationError):
-                _read_shard(shard_file, range(16), use_mmap=use_mmap)
+        with pytest.raises(ValidationError):
+            _read_shard(shard_file, range(16), CONFIG)
         sharded = ShardedPopulation.open(directory)
         assert not sharded.verify_shard(0)
         assert_matches_monolithic(sharded, monolithic)
@@ -190,18 +188,27 @@ class TestShardedEqualsMonolithic:
     def test_well_formed_shard_with_an_empty_profile_is_rejected(self, monolithic, tmp_path):
         # Byte-consistent layout (written by the writer), but host 2 has no
         # feature intensities, which no HostProfile may have.
-        profiles = {host_id: monolithic.profile(host_id) for host_id in range(8)}
+        profiles = [monolithic.profile(host_id) for host_id in range(8)]
         emptied = profiles[2]
         profiles[2] = SimpleNamespace(
+            host_id=emptied.host_id,
             role=emptied.role,
             is_laptop=emptied.is_laptop,
             master_intensity=emptied.master_intensity,
             intensities={},
         )
+        shard = EnterprisePopulation(
+            CONFIG,
+            range(8),
+            monolithic.block[:8],
+            monolithic.features,
+            monolithic.bin_spec,
+            HostProfileTable.of(profiles),
+        )
         path = tmp_path / "shard-00000.rpsh"
-        _write_shard(path, list(range(8)), profiles, monolithic.matrices())
+        _write_shard(path, shard)
         with pytest.raises(ValidationError, match="host 2: no feature intensities"):
-            _read_shard(path, range(8))
+            _read_shard(path, range(8), CONFIG)
 
 
 class TestResidentShard:
@@ -214,18 +221,18 @@ class TestResidentShard:
         sharded = ShardedPopulation.open(directory)
         built_matrices, built_profiles = [], []
 
-        class CountingMatrix(sharded_module.FeatureMatrix):
+        class CountingMatrix(enterprise_module.FeatureMatrix):
             def __init__(self, host_id, series):
                 built_matrices.append(host_id)
                 super().__init__(host_id, series)
 
-        class CountingProfile(sharded_module.HostProfile):
+        class CountingProfile(profiles_module.HostProfile):
             def __post_init__(self):
                 built_profiles.append(self.host_id)
                 super().__post_init__()
 
-        monkeypatch.setattr(sharded_module, "FeatureMatrix", CountingMatrix)
-        monkeypatch.setattr(sharded_module, "HostProfile", CountingProfile)
+        monkeypatch.setattr(enterprise_module, "FeatureMatrix", CountingMatrix)
+        monkeypatch.setattr(profiles_module, "HostProfile", CountingProfile)
         chosen = [3, 1, 20, 29]
         subset = sharded.matrices_for(chosen)
         assert sorted(subset) == sorted(chosen)
@@ -261,15 +268,9 @@ class TestResidentShard:
         directory = write_population_sharded(
             tmp_path / "pop.rpopd", monolithic, hosts_per_shard=8
         )
-        for use_mmap in (True, False):
-            values = (
-                ShardedPopulation.open(directory, use_mmap=use_mmap)
-                .matrix(9)
-                .series(Feature.TCP_CONNECTIONS)
-                .values
-            )
-            assert type(values) is np.ndarray
-            assert not values.flags.writeable
+        values = ShardedPopulation.open(directory).matrix(9).series(Feature.TCP_CONNECTIONS).values
+        assert type(values) is np.ndarray
+        assert not values.flags.writeable
 
     @pytest.mark.parametrize("backed", [True, False], ids=["directory", "in-memory"])
     def test_aggregates_match_monolithic(self, monolithic, tmp_path, backed):
@@ -281,35 +282,47 @@ class TestResidentShard:
             feature, 99
         )
         assert sharded.max_observed(feature) == monolithic.max_observed(feature)
-        left, right = sharded.feature_values(feature), monolithic.feature_values(feature)
+        left, right = sharded.distributions(feature), monolithic.distributions(feature)
         assert sorted(left) == sorted(right)
         for host_id in right:
-            np.testing.assert_array_equal(left[host_id], right[host_id])
+            np.testing.assert_array_equal(left[host_id].samples, right[host_id].samples)
         pooled = sharded.pooled_distribution(feature)
-        assert pooled.percentile(99) == monolithic.pooled_distribution(feature).percentile(99)
+        np.testing.assert_array_equal(
+            pooled.samples, monolithic.pooled_distribution(feature).samples
+        )
         materialized = sharded.materialize()
         assert_matches_monolithic(sharded, materialized)
+        np.testing.assert_array_equal(materialized.block, monolithic.block)
+        np.testing.assert_array_equal(materialized.column(feature), monolithic.column(feature))
+
+    def test_one_shard_materializes_as_its_shard(self, monolithic, tmp_path):
+        directory = write_population_sharded(
+            tmp_path / "pop.rpopd", monolithic, hosts_per_shard=len(monolithic)
+        )
+        sharded = ShardedPopulation.open(directory)
+        materialized = sharded.materialize()
+        assert materialized is sharded._shard(0)
+        np.testing.assert_array_equal(materialized.block, monolithic.block)
 
 
 class TestMmapBitIdentity:
-    def test_mmap_and_in_memory_values_identical(self, monolithic, tmp_path):
+    def test_mapped_values_equal_generated_population(self, monolithic, tmp_path):
         directory = write_population_sharded(
             tmp_path / "pop.rpopd", monolithic, hosts_per_shard=8
         )
-        mapped = ShardedPopulation.open(directory, use_mmap=True)
-        in_memory = ShardedPopulation.open(directory, use_mmap=False)
+        mapped = ShardedPopulation.open(directory)
         for host_id in monolithic.host_ids:
             for feature in monolithic.matrix(host_id).features:
                 np.testing.assert_array_equal(
                     mapped.matrix(host_id).series(feature).values,
-                    in_memory.matrix(host_id).series(feature).values,
+                    monolithic.matrix(host_id).series(feature).values,
                 )
 
     def test_evaluation_on_mmap_matches_monolithic(self, monolithic, tmp_path):
         directory = write_population_sharded(
             tmp_path / "pop.rpopd", monolithic, hosts_per_shard=8
         )
-        mapped = ShardedPopulation.open(directory, use_mmap=True)
+        mapped = ShardedPopulation.open(directory)
         policy = PartialDiversityPolicy()
         baseline = evaluate_policy(monolithic.matrices(), policy, PROTOCOL)
         via_mmap = evaluate_policy(mapped.matrices(), policy, PROTOCOL)
